@@ -62,7 +62,7 @@ class ExpTermRec:
 class ExpPoly:
     """Canonical finite sum of q_k(x) * exp(c_k + P_k(x))."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_kernel")
 
     def __init__(self, terms=()):
         """Build from (coeff, expo[, expconst]) triples; canonicalizes."""
@@ -89,6 +89,7 @@ class ExpPoly:
                 rec.append(ExpTermRec(coeff, expo, const))
         rec.sort(key=ExpTermRec.key)
         object.__setattr__(self, "terms", tuple(rec))
+        object.__setattr__(self, "_kernel", None)
 
     def __setattr__(self, *a):
         raise AttributeError("ExpPoly is immutable")
@@ -134,9 +135,6 @@ class ExpPoly:
                 out = out + t.coeff
         return out
 
-    def max_exp_degree(self) -> int:
-        return max((t.expo.degree for t in self.terms), default=-1)
-
     def __eq__(self, other):
         if not isinstance(other, ExpPoly):
             return NotImplemented
@@ -178,9 +176,6 @@ class ExpPoly:
         return ExpPoly([(t.coeff.scale(s), t.expo, t.expconst)
                         for t in self.terms])
 
-    def mul_poly(self, p: Poly) -> "ExpPoly":
-        return ExpPoly([(t.coeff * p, t.expo, t.expconst) for t in self.terms])
-
     def __pow__(self, k: int):
         out, base = ExpPoly.constant(1), self
         while k:
@@ -199,6 +194,13 @@ class ExpPoly:
         return ExpPoly(out)
 
     # -- evaluation ----------------------------------------------------------
+    def compiled(self):
+        """The complex term data of :func:`compile_terms`, built once."""
+        if self._kernel is None:
+            expos, (terms,) = compile_terms([self])
+            object.__setattr__(self, "_kernel", (expos, terms))
+        return self._kernel
+
     def eval_scaled(self, z: complex):
         """Return (v, s) with f(z) = v * exp(s), s real.
 
@@ -206,20 +208,10 @@ class ExpPoly:
         never overflows; this is the evaluation every growth functional
         uses (only log|f| or arg f is ever needed).
         """
-        if not self.terms:
+        expos, terms = self.compiled()
+        if not terms:
             return 0j, 0.0
-        ws = []
-        for t in self.terms:
-            w = t.expconst.to_complex() + t.expo.eval_complex(z)
-            ws.append(w)
-        s = max(w.real for w in ws)
-        v = 0j
-        for t, w in zip(self.terms, ws):
-            e = w - s
-            if e.real < -745.0:
-                continue
-            v += t.coeff.eval_complex(z) * cmath.exp(e)
-        return v, s
+        return scaled_sum(terms, eval_exponents(expos, z), z)
 
     def evaluate(self, z: complex) -> complex:
         """Plain complex value; raises EvalOverflowError out of float range."""
@@ -260,6 +252,86 @@ class ExpPoly:
                 b += f"*exp({t.expo!r})"
             bits.append(b)
         return " + ".join(bits)
+
+
+# -- numeric kernel ----------------------------------------------------------
+# Evaluation at a point reads only plain complex data compiled once from the
+# exact terms.  Every float operation is the one Poly.eval_complex and
+# CRat.to_complex would perform, in the same order, so values are bit-identical
+# to evaluating the exact terms directly.
+
+def _horner_data(p: Poly):
+    """(lead, rest): p(z) is lead folded by out = out * z + c over rest."""
+    cs = p._numeric()
+    if not cs:
+        return 0j, ()
+    return cs[-1], tuple(reversed(cs[:-1]))
+
+
+def _compile_exponent(expo: Poly, expconst: CRat):
+    """(w, rest, c): the exponent c + P(z) in the form eval_exponents reads.
+
+    A constant P leaves the whole exponent c + P in w, with rest None.
+    """
+    c = expconst.to_complex()
+    lead, rest = _horner_data(expo)
+    if not rest:
+        return c + lead, None, None
+    return lead, rest, c
+
+
+def compile_terms(polys):
+    """Complex data for evaluating several ExpPolys at one point.
+
+    Returns (expos, terms): each distinct (expo, expconst) pair of the polys
+    once in expos, and per poly a tuple of (coeff lead, coeff rest, index
+    into expos), one entry per term in canonical order.
+    """
+    index: dict = {}
+    expos = []
+    out = []
+    for f in polys:
+        rows = []
+        for t in f.terms:
+            key = (t.expo, t.expconst)
+            i = index.get(key)
+            if i is None:
+                i = index[key] = len(expos)
+                expos.append(_compile_exponent(t.expo, t.expconst))
+            lead, rest = _horner_data(t.coeff)
+            rows.append((lead, rest, i))
+        out.append(tuple(rows))
+    return tuple(expos), tuple(out)
+
+
+def eval_exponents(expos, z: complex) -> list:
+    """The value c + P(z) of every compiled exponent at z."""
+    ws = []
+    for w, rest, c in expos:
+        if rest is not None:
+            for a in rest:
+                w = w * z + a
+            w = c + w
+        ws.append(w)
+    return ws
+
+
+def scaled_sum(terms, ws, z: complex):
+    """(v, s) with sum_k q_k(z) exp(w_k) = v * exp(s) for nonempty terms.
+
+    s is the largest real part of the terms' exponents; terms more than 745
+    below it underflow to zero and are skipped.
+    """
+    s = max([ws[i].real for _, _, i in terms])
+    v = 0j
+    for q, rest, i in terms:
+        e = ws[i] - s
+        if e.real < -745.0:
+            continue
+        for a in rest:
+            q = q * z + a
+        v += q * cmath.exp(e)
+    return v, s
 
 
 def combine(op: str, f: ExpPoly, g) -> ExpPoly:

@@ -19,11 +19,12 @@ heuristic by design.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .expfun import ExpPoly
+from .expfun import ExpPoly, compile_terms, eval_exponents, scaled_sum
 from .polys import MPoly, Poly, det_field
 from .scalars import CRat
 
@@ -59,7 +60,7 @@ class DegenerateCurveError(NevanlinnaError):
 class ProjCurve:
     """Entire curve [f_0 : ... : f_n] with ExpPoly components."""
 
-    __slots__ = ("components",)
+    __slots__ = ("components", "_kernel")
 
     def __init__(self, components):
         comps = tuple(components)
@@ -68,6 +69,7 @@ class ProjCurve:
         if all(c.is_zero() for c in comps):
             raise ValueError("all components are identically zero")
         object.__setattr__(self, "components", comps)
+        object.__setattr__(self, "_kernel", None)
 
     def __setattr__(self, *a):
         raise AttributeError("ProjCurve is immutable")
@@ -76,11 +78,22 @@ class ProjCurve:
     def n(self) -> int:
         return len(self.components) - 1
 
+    def compiled(self):
+        """Term data of all components, each distinct exponent listed once."""
+        if self._kernel is None:
+            object.__setattr__(self, "_kernel",
+                               compile_terms(self.components))
+        return self._kernel
+
     def log_norm_sq(self, z: complex) -> float:
         """log sum_j |f_j(z)|^2, overflow-safe (exponents factored out)."""
+        expos, comps = self.compiled()
+        ws = eval_exponents(expos, z)
         logs = []
-        for comp in self.components:
-            v, s = comp.eval_scaled(z)
+        for terms in comps:
+            if not terms:
+                continue
+            v, s = scaled_sum(terms, ws, z)
             if v != 0:
                 logs.append(s + math.log(abs(v)))
         if not logs:
@@ -262,7 +275,8 @@ def circle_log_mean(h: ExpPoly, r: float, tol: float = 1e-8) -> float:
     def integrand(th):
         v, s = h.eval_scaled(r * complex(math.cos(th), math.sin(th)))
         if v == 0:
-            return -100.0  # exact-zero grid hit; retried by the integrator
+            # exact-zero grid hit; integrate_periodic retries -inf nearby
+            return float("-inf")
         m = s + math.log(abs(v))
         return m
 
@@ -275,18 +289,30 @@ def circle_log_mean(h: ExpPoly, r: float, tol: float = 1e-8) -> float:
 # ---------------------------------------------------------------------------
 
 def _eval_unit(h: ExpPoly, z: complex):
-    """Scaled value and a cancellation reference at z."""
-    v, s = h.eval_scaled(z)
+    """Scaled value and a cancellation reference at z, in one pass.
+
+    v is eval_scaled's v; ref sums |q_k(z)| exp(Re w_k - s) over all terms,
+    the size v would have without cancellation.
+    """
+    expos, terms = h.compiled()
+    if not terms:
+        return 0j, 0.0
+    ws = eval_exponents(expos, z)
+    s = max([ws[i].real for _, _, i in terms])
+    v = 0j
     ref = 0.0
-    for t in h.terms:
-        w = t.expconst.to_complex() + t.expo.eval_complex(z)
-        ref += abs(t.coeff.eval_complex(z)) * math.exp(min(w.real - s, 0.0))
+    for q, rest, i in terms:
+        for a in rest:
+            q = q * z + a
+        e = ws[i] - s
+        if not e.real < -745.0:
+            v += q * cmath.exp(e)
+        ref += abs(q) * math.exp(min(e.real, 0.0))
     return v, ref
 
 
 def _winding_pass(h: ExpPoly, radius: float, n0: int, max_depth: int = 54):
     """One adaptive phase-continuation sweep; returns total phase / 2pi."""
-    import cmath
 
     def val(theta):
         z = radius * complex(math.cos(theta), math.sin(theta))

@@ -248,6 +248,11 @@ def intersection_points(c1: PlaneCurve, c2: PlaneCurve, seed: int = 0):
     """
     if not _coprime(c1.poly, c2.poly):
         raise NonCoprimeError("curves share a component")
+    return _coprime_intersections(c1, c2, seed)
+
+
+def _coprime_intersections(c1, c2, seed):
+    """intersection_points for a pair already known to be coprime."""
     d1, d2 = c1.degree, c2.degree
     last = None
     for matrix in _change_schedule(seed=seed, attempts=8):
@@ -444,7 +449,8 @@ def normal_crossings(conf: Configuration, seed: int = 0) -> CrossingsReport:
     points = {}
     for i in range(3):
         for j in range(i + 1, 3):
-            pts = intersection_points(conf.curves[i], conf.curves[j], seed=seed)
+            # Configuration proved every pair coprime on construction
+            pts = _coprime_intersections(conf.curves[i], conf.curves[j], seed)
             points[(i, j)] = pts
             worst = max(m for _, m in pts)
             pairwise.append({

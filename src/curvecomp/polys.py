@@ -561,10 +561,6 @@ class MPoly:
             cs[e] = c
         return Poly(cs)
 
-    @classmethod
-    def from_poly(cls, p: Poly) -> "MPoly":
-        return cls(1, [((k,), c) for k, c in enumerate(p.coeffs)])
-
     def to_json(self):
         return [{"exponents": list(e), "coeff": c.to_json()}
                 for e, c in self.iter_sorted()]
@@ -846,11 +842,27 @@ def poly_roots_numeric(p: Poly, dps: int = 50):
     return list(roots)
 
 
+def _binary_fraction(x) -> Fraction:
+    """The exact value of a float or a finite mpmath real."""
+    if not isinstance(x, mp.mpf):
+        return Fraction(x)
+    if not mp.isfinite(x):
+        raise ValueError(f"cannot snap the non-finite value {x}")
+    man, exp = x.man_exp          # man is |mantissa|; the sign is apart
+    if x < 0:
+        man = -man
+    return Fraction(man * 2 ** exp) if exp >= 0 else Fraction(man, 2 ** -exp)
+
+
 def snap_to_crat(z, max_den: int = 10 ** 12) -> CRat:
-    """Nearest small-denominator Gaussian rational (no verification here)."""
-    re = Fraction(float(z.real if hasattr(z, "real") else z)).limit_denominator(max_den)
-    im = Fraction(float(z.imag if hasattr(z, "imag") else 0.0)).limit_denominator(max_den)
-    return CRat(re, im)
+    """Nearest small-denominator Gaussian rational (no verification here).
+
+    Snaps from the exact binary value of z, so the full working precision
+    of an mpmath root is used, not just its nearest float.
+    """
+    re = _binary_fraction(z.real if hasattr(z, "real") else z)
+    im = _binary_fraction(z.imag if hasattr(z, "imag") else 0.0)
+    return CRat(re.limit_denominator(max_den), im.limit_denominator(max_den))
 
 
 def exact_roots(p: Poly, dps: int = 50, max_den: int = 10 ** 9):

@@ -145,9 +145,6 @@ class CRat:
             k >>= 1
         return out
 
-    def conjugate(self) -> "CRat":
-        return CRat(self.re, -self.im)
-
     # -- comparisons / hashing ----------------------------------------------
     def __eq__(self, other):
         o = self._coerce(other)
@@ -443,9 +440,6 @@ class CycNum:
 
     def sort_key(self):
         return tuple(self.vec)
-
-    def conjugate(self):
-        raise NotImplementedError("conjugation unused for cyclotomic scalars")
 
     def to_complex(self) -> complex:
         L = self.field.order

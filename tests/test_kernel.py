@@ -1,0 +1,168 @@
+"""The compiled numeric kernel against a per-term reference, bit for bit.
+
+The reference below evaluates every term straight from its exact data
+through CRat.to_complex and Poly.eval_complex, as ExpPoly.eval_scaled did
+before evaluation moved to compiled complex data.  The kernel performs the
+same float operations in the same order, so the results must be equal, not
+merely close.
+"""
+
+import cmath
+import math
+import os
+import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from curvecomp.expfun import ExpPoly
+from curvecomp.nevanlinna import ProjCurve, _eval_unit
+from curvecomp.polys import Poly
+
+from conftest import XI, XI2, cr, exp_of, poly
+
+
+def ref_eval_scaled(f, z):
+    if not f.terms:
+        return 0j, 0.0
+    ws = [t.expconst.to_complex() + t.expo.eval_complex(z) for t in f.terms]
+    s = max(w.real for w in ws)
+    v = 0j
+    for t, w in zip(f.terms, ws):
+        e = w - s
+        if e.real < -745.0:
+            continue
+        v += t.coeff.eval_complex(z) * cmath.exp(e)
+    return v, s
+
+
+def ref_eval_unit(f, z):
+    v, s = ref_eval_scaled(f, z)
+    ref = 0.0
+    for t in f.terms:
+        w = t.expconst.to_complex() + t.expo.eval_complex(z)
+        ref += abs(t.coeff.eval_complex(z)) * math.exp(min(w.real - s, 0.0))
+    return v, ref
+
+
+def ref_log_norm_sq(curve, z):
+    logs = []
+    for comp in curve.components:
+        v, s = ref_eval_scaled(comp, z)
+        if v != 0:
+            logs.append(s + math.log(abs(v)))
+    if not logs:
+        return float("-inf")
+    m = max(logs)
+    return 2.0 * m + math.log(sum(math.exp(2.0 * (l - m)) for l in logs))
+
+
+def bits(x):
+    """Float fields as hex, so that signed zeros count too."""
+    if isinstance(x, tuple):
+        return tuple(bits(y) for y in x)
+    if isinstance(x, complex):
+        return (x.real.hex(), x.imag.hex())
+    return float(x).hex()
+
+
+def assert_identical(got, want):
+    assert got == want
+    assert bits(got) == bits(want)
+
+
+def points(seed, n=40):
+    """Seeded points from the origin out to radius 40 (deep underflow)."""
+    rng = random.Random(seed)
+    pts = [0j, 1 + 0j, -1j]
+    for _ in range(n):
+        r = math.exp(rng.uniform(math.log(0.01), math.log(40.0)))
+        pts.append(cmath.rect(r, rng.uniform(0.0, 2 * math.pi)))
+    return pts
+
+
+ONE = ExpPoly.constant(1)
+E_XI = exp_of(XI)
+E_XI2 = exp_of(XI2)
+ZERO = E_XI - E_XI
+# empty exponents: a polynomial part and a constant tag exp(1/2 - i/3)
+POLY_PART = ExpPoly.from_poly(poly(cr(1, 2), -3, cr(0, 1)))
+HALF, THIRD = Fraction(1, 2), Fraction(1, 3)
+TAGGED = ExpPoly([(poly(2, 1), Poly(), cr(HALF, -THIRD))])
+MIXED = (exp_of(poly(0, cr(1, 1), -2), cr(2, -1)) + TAGGED
+         + ExpPoly([(poly(1, 1), XI2, cr(-3, HALF))]) + POLY_PART)
+# at |z| = 40 the e^z term sits about 1560 below e^{z^2}: it underflows
+UNDERFLOW = E_XI2 + ExpPoly([(poly(0, 1), XI)])
+
+FUNCTIONS = {"zero": ZERO, "one": ONE, "poly_part": POLY_PART,
+             "tagged": TAGGED, "mixed": MIXED, "underflow": UNDERFLOW,
+             "exp_minus_one": E_XI - ONE}
+
+CURVES = {
+    # 4 terms, 2 distinct exponents shared between components
+    "order2": ProjCurve([E_XI, E_XI2, -(E_XI + E_XI2)]),
+    "shared_coeffs": ProjCurve([ExpPoly([(poly(1, 1), XI)]), E_XI2 - E_XI,
+                                MIXED, POLY_PART]),
+    "zero_component": ProjCurve([ZERO, E_XI2, UNDERFLOW]),
+    "rational": ProjCurve([ONE, ExpPoly.from_poly(poly(0, 0, 0, 1))]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FUNCTIONS))
+def test_eval_scaled_matches_reference(name):
+    f = FUNCTIONS[name]
+    for z in points(seed=len(name)):
+        assert_identical(f.eval_scaled(z), ref_eval_scaled(f, z))
+
+
+@pytest.mark.parametrize("name", sorted(FUNCTIONS))
+def test_eval_unit_matches_reference(name):
+    f = FUNCTIONS[name]
+    for z in points(seed=100 + len(name)):
+        assert_identical(_eval_unit(f, z), ref_eval_unit(f, z))
+
+
+@pytest.mark.parametrize("name", sorted(CURVES))
+def test_log_norm_sq_matches_reference(name):
+    c = CURVES[name]
+    for z in points(seed=200 + len(name)):
+        assert_identical(c.log_norm_sq(z), ref_log_norm_sq(c, z))
+
+
+def test_cases_are_exercised():
+    assert ZERO.is_zero() and ZERO.eval_scaled(2.0) == (0j, 0.0)
+    assert _eval_unit(ZERO, 2.0) == (0j, 0.0)
+    assert all(t.expo.is_zero() for t in TAGGED.terms + POLY_PART.terms)
+    v, s = UNDERFLOW.eval_scaled(40.0)
+    assert s == 1600.0 and v == 1.0
+    assert ref_eval_unit(UNDERFLOW, 40.0)[1] == 1.0
+
+
+def test_curve_lists_each_exponent_once():
+    curve = CURVES["order2"]
+    assert sum(len(c.terms) for c in curve.components) == 4
+    expos, comps = curve.compiled()
+    assert len(expos) == 2
+    assert [len(t) for t in comps] == [1, 1, 2]
+    assert curve.compiled() is curve.compiled()
+
+
+def test_compiled_data_is_cached():
+    assert MIXED.compiled() is MIXED.compiled()
+    expos, terms = MIXED.compiled()
+    assert len(expos) == len(terms) == len(MIXED.terms)
+
+
+def test_import_leaves_numpy_out():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = ("import sys, curvecomp.cli, curvecomp.nevanlinna; "
+            "print('numpy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -134,6 +134,14 @@ class TestCounting:
         b = counting(f, d, 12.0, method="circle-mean")
         assert a == pytest.approx(b, abs=5e-3)
 
+    def test_circle_mean_zero_on_base_circle(self):
+        # z - 1 vanishes at a grid node of the base circle r0 = 1
+        h = ExpPoly.from_poly(poly(-1, 1))
+        wind = counting_entire(h, 2.0)
+        assert wind == pytest.approx(math.log(2), abs=1e-3)
+        mean = counting_entire(h, 2.0, method="circle-mean")
+        assert mean == pytest.approx(wind, abs=1e-3)
+
     def test_monotone(self):
         f = curve(ONE, E_XI)
         d = hyper(-1, 1)

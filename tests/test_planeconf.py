@@ -158,6 +158,20 @@ class TestNormalCrossings:
         rep = normal_crossings(Configuration([cusp, X1, X0]))
         assert not rep.passed and not rep.smooth[0]
 
+    def test_coprimality_proved_once(self, monkeypatch):
+        from curvecomp import planeconf
+        calls = []
+        orig = planeconf._coprime
+        monkeypatch.setattr(planeconf, "_coprime",
+                            lambda p, q: calls.append(1) or orig(p, q))
+        conf = Configuration([CONIC_SIMPLE, X1, X0])
+        assert len(calls) == 3
+        rep = normal_crossings(conf)
+        assert len(calls) == 3
+        assert [p["bezout_total"] for p in rep.pairwise] == [2, 2, 1]
+        intersection_points(CONIC_SIMPLE, X1)
+        assert len(calls) == 4
+
 
 class TestCaseEngine:
     def test_hypothesis_guard(self):

@@ -85,6 +85,17 @@ class TestPoly:
         ex2, nu2 = exact_roots(poly(-1, 0, 2))
         assert not ex2 and len(nu2) == 2
 
+    def test_exact_root_with_large_denominator(self):
+        # a float carries too few digits to snap 123456789/1000003 back
+        a = cr(Fraction(123456789, 1000003))
+        ex, nu = exact_roots(poly(-a, 1) * poly(-1, 1))
+        assert sorted(ex, key=lambda c: c.re) == [CRat(1), a] and not nu
+        # signs of both parts survive the snap
+        b = cr(Fraction(-987654321, 1000003), Fraction(-5, 7))
+        ex, nu = exact_roots(poly(-b, 1) * poly(Fraction(3, 2), 1))
+        assert sorted(ex, key=lambda c: c.re) == [b, cr(Fraction(-3, 2))]
+        assert not nu
+
     def test_compose(self):
         p = poly(1, 0, 1)      # x^2 + 1
         q = poly(0, 2)         # 2x
