@@ -20,9 +20,11 @@ heuristic by design.
 from __future__ import annotations
 
 import cmath
+import heapq
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, zip_longest
+from operator import mul
 
 from .expfun import ExpPoly, compile_terms, eval_exponents, scaled_sum
 from .polys import MPoly, Poly, det_field
@@ -209,39 +211,238 @@ class GrowthReport:
 # ---------------------------------------------------------------------------
 # quadrature on the circle
 # ---------------------------------------------------------------------------
+# On |z| = r the integrands follow max_j Re(c_j + P_j(z)) over the exponents,
+# so where two exponents switch they have a corner or a transition of width
+# w = 1/|D'|, D(theta) the difference of the two real parts, and the
+# trapezoid rule converges only algebraically there (Trefethen & Weideman,
+# SIAM Review 56, 2014).  The circle is cut at those switching angles and
+# integrated by global adaptive Gauss-Kronrod 7/15 (QUADPACK's qk15,
+# Piessens et al. 1983): the arc with the largest error estimate is refined
+# next, at points graded toward its switching angles while there are any,
+# else by halving.
 
-def integrate_periodic(fn, tol: float, max_pow: int = 18):
-    """Adaptive trapezoid of fn over [0, 2pi): panel doubling to tolerance.
+QUAD_BUDGET = 1 << 18          # integrand evaluations per integral
+# A transition narrower than 1/64 of its arc lies inside the outermost
+# Kronrod node (0.43% of the arc from the end) and well inside the next
+# (2.5%): the rule cannot see it, so its mass enters the error estimate.
+_UNSEEN = 1.0 / 64.0
+_EPS = 2.220446049250313e-16
 
-    Returns (integral, error_estimate).  For smooth periodic integrands the
-    doubling converges spectrally; failure to meet tol raises with the
-    achieved estimate attached.
+# the 15 Kronrod abscissae on [-1, 1] in increasing order, with the weights
+# of the Kronrod rule and of the 7-point Gauss rule on every second one
+_XGK = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+        0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+        0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+        0.207784955007898467600689403773245)
+_WGK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+        0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+        0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+        0.204432940075298892414161999234649)
+_WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+       0.381830050505118944950369775488975)
+_X15 = tuple(-x for x in _XGK) + (0.0,) + _XGK[::-1]
+_K15 = _WGK + (0.209482141084727828012999174891714,) + _WGK[::-1]
+_G7 = _WG + (0.417959183673469387755102040816327,) + _WG[::-1]
+
+
+def _gk15(f, a: float, b: float, smooth: bool):
+    """(integral, error estimate) of f over [a, b] by the 7/15 rule.
+
+    The estimate is QUADPACK's, |K15 - G7| rescaled by the variation of f
+    over the arc; for smooth f it is |K15 - G7| where that is smaller.  It
+    is never below the rounding of the sum.  A NaN or -inf value (a zero
+    of log|h| hit exactly) is retried 1e-9 further on.
+    """
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    fs = [f(c + h * x) for x in _X15]
+    total = sum(fs)
+    if total != total or total == float("-inf"):
+        fs = [v if v == v and v != float("-inf") else f(c + h * x + 1e-9)
+              for x, v in zip(_X15, fs)]
+    resk = sum(map(mul, _K15, fs))
+    resg = sum(map(mul, _G7, fs[1::2]))
+    mean = 0.5 * resk
+    resasc = sum(map(mul, _K15, [abs(v - mean) for v in fs])) * h
+    err = abs((resk - resg) * h)
+    if resasc and err:
+        scaled = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+        err = min(err, scaled) if smooth else scaled
+    # resasc + |resk h| bounds the integral of |f|, whose rounding QUADPACK
+    # takes as the floor
+    return resk * h, max(err, 50.0 * _EPS * (resasc + abs(resk * h)))
+
+
+def _refine(a: float, b: float, wa: float, wb: float):
+    """Sub-arcs (lo, hi, width at lo, width at hi) of the arc [a, b].
+
+    An end with a transition of width w is cut off at the largest w * 4^k
+    below a quarter of the arc, so repeated refinement approaches it
+    through those points; an arc with no such cut is halved.
+    """
+    quarter = 0.25 * (b - a)
+    da, db = [w * 4.0 ** int(math.log(quarter / w, 4.0)) if 0 < w < quarter
+              else 0.0 for w in (wa, wb)]
+    if not (da or db):
+        m = 0.5 * (a + b)
+        return [(a, m, wa, 0.0), (m, b, 0.0, wb)]
+    out = [(a, a + da, wa, 0.0)] if da else []
+    out.append((a + da, b - db, 0.0 if da else wa, 0.0 if db else wb))
+    return out + [(b - db, b, 0.0, wb)] if db else out
+
+
+def integrate_periodic(fn, tol: float, splits=(), smooth: bool = False):
+    """Integral of fn over one period [0, 2pi) to absolute error tol.
+
+    splits holds (angle, width) pairs: the circle is cut at each angle (no
+    splits: one arc from 0), and a positive width marks a transition of
+    about that width there, such as the switching of two exponents.  The
+    arc with the largest error estimate is refined (see _refine) until the
+    estimates sum below tol.  A transition narrower than _UNSEEN of its
+    arc adds twice its width to the arc's estimate, since it carries a
+    mass of about one width on each side that the nodes cannot see.
+
+    smooth says that fn is analytic on the circle away from the marked
+    transitions, as log||f||^2 of a curve is; log|h| (singular at zeros of
+    h) and log+ (corners) are not.  Only then may an arc's estimate be the
+    bare |K15 - G7| (see _gk15): next to a singularity it can understate
+    the error tenfold.  Returns (integral, error_estimate); running out of
+    the QUAD_BUDGET evaluations raises with the achieved estimate attached.
+    """
+    def arc(a, b, wa, wb):
+        val, err = _gk15(fn, a, b, smooth)
+        unseen = _UNSEEN * (b - a)
+        floor = (2.0 * wa if wa < unseen else 0.0) + (
+            2.0 * wb if wb < unseen else 0.0)
+        return (-max(err, floor), a, b, wa, wb, val)
+
+    two_pi = 2.0 * math.pi
+    widths = {}
+    for t, w in splits:
+        t %= two_pi
+        widths[t] = max(w, widths.get(t, 0.0))
+    cuts = sorted(widths) or [0.0]
+    ws = [widths.get(t, 0.0) for t in cuts]
+    arcs = zip(cuts, cuts[1:] + [cuts[0] + two_pi], ws, ws[1:] + ws[:1])
+    heap = [arc(*a) for a in arcs]
+    heapq.heapify(heap)
+    used = 15 * len(heap)
+    total = -sum(h[0] for h in heap)
+    while total > tol:
+        neg, a, b, wa, wb, _ = heap[0]
+        parts = _refine(a, b, wa, wb)
+        if used + 15 * len(parts) > QUAD_BUDGET or not a < parts[0][1] < b:
+            raise QuadratureError(
+                f"no convergence below {tol:g} after {used} points "
+                f"(error estimate {total:g})", achieved=total)
+        heapq.heappop(heap)
+        total += neg
+        for part in parts:
+            new = arc(*part)
+            heapq.heappush(heap, new)
+            total -= new[0]
+        used += 15 * len(parts)
+    return (math.fsum(h[5] for h in heap), -math.fsum(h[0] for h in heap))
+
+
+def _illinois(f, a: float, b: float, fa: float, fb: float) -> float:
+    """A zero of f in [a, b], where fa and fb differ in sign."""
+    side = 0
+    c = a
+    for _ in range(100):
+        prev, c = c, (a * fb - b * fa) / (fb - fa)
+        fc = f(c)
+        if fc == 0 or not a < c < b or abs(c - prev) <= 4.0 * _EPS * abs(c):
+            return c
+        if (fc < 0) == (fa < 0):
+            a, fa = c, fc
+            if side == -1:
+                fb *= 0.5
+            side = -1
+        else:
+            b, fb = c, fc
+            if side == 1:
+                fa *= 0.5
+            side = 1
+    return c
+
+
+def _switching_splits(expos, r: float, log_plus: bool = False):
+    """(angle, width) splits for integrate_periodic from compiled exponents.
+
+    Each split is an angle on |z| = r where two exponents (for log+ also
+    an exponent and the constant 1) have equal real part: a zero of D, the
+    real part of their difference, with its width 1/|D'|.  Sign changes
+    of D on a grid of 16 points per degree are refined by the Illinois
+    method.
+    """
+    polys = [[w] if rest is None else [c + rest[-1], *rest[-2::-1], w]
+             for w, rest, c in expos]
+    if log_plus:
+        polys.append([0j])
+    two_pi = 2.0 * math.pi
+    out = []
+    for p, q in combinations(polys, 2):
+        b = [x - y for x, y in zip_longest(p, q, fillvalue=0j)]
+        while len(b) > 1 and b[-1] == 0:
+            b.pop()
+        if len(b) < 2:
+            continue
+
+        def D(t, b=b):
+            z = r * complex(math.cos(t), math.sin(t))
+            v = 0j
+            for c in reversed(b):
+                v = v * z + c
+            return v.real
+
+        n = 16 * (len(b) - 1)
+        ts = [two_pi * k / n for k in range(n + 1)]
+        fs = [D(t) for t in ts[:-1]]
+        fs.append(fs[0])
+        for t0, t1, f0, f1 in zip(ts, ts[1:], fs, fs[1:]):
+            if f0 == 0:
+                t = t0
+            elif f0 * f1 < 0:
+                t = _illinois(D, t0, t1, f0, f1)
+            else:
+                continue
+            z = r * complex(math.cos(t), math.sin(t))
+            dv = 0j
+            for m in range(len(b) - 1, 0, -1):
+                dv = dv * z + m * b[m]
+            slope = abs((z * dv).imag)
+            out.append((t, 1.0 / slope if slope else 0.0))
+    return out
+
+
+def _zero_crossings(u, splits):
+    """Zeros of u near the split angles, as extra (angle, 0.0) splits.
+
+    u is looked at on t and t +- w * 4^k for each split (t, w), out to a
+    quarter of the gap to the nearest other split angle (at that quarter
+    alone when w exceeds it); sign changes are refined by the Illinois
+    method.  log+ |g| has its corners at the zeros of u = log |g|.
     """
     two_pi = 2.0 * math.pi
-
-    def safe(theta):
-        v = fn(theta)
-        if v != v or v == float("-inf"):
-            v = fn(theta + 1e-9)
-        return v
-
-    p = 16
-    total = sum(safe(two_pi * k / p) for k in range(p))
-    est = total * two_pi / p
-    prev_err = None
-    while p <= (1 << max_pow):
-        new = sum(safe(two_pi * (k + 0.5) / p) for k in range(p))
-        p *= 2
-        total += new
-        nxt = total * two_pi / p
-        err = abs(nxt - est)
-        est = nxt
-        if err < tol:
-            return est, err
-        prev_err = err
-    raise QuadratureError(
-        f"no convergence below {tol:g} after {p} panels "
-        f"(last refinement moved {prev_err:g})", achieved=prev_err)
+    angles = sorted(t for t, _ in splits)
+    out = []
+    for t, w in splits:
+        i = angles.index(t)
+        quarter = 0.25 * min((angles[(i + 1) % len(angles)] - t) % two_pi
+                             or two_pi, (t - angles[i - 1]) % two_pi or two_pi)
+        pts = [t]
+        d = min(w, quarter)
+        while d > 0:
+            pts = [t - d] + pts + [t + d]
+            d = 4.0 * d if 4.0 * d < quarter else 0.0
+        vals = [u(p) for p in pts]
+        for a, b, fa, fb in zip(pts, pts[1:], vals, vals[1:]):
+            if fa * fb < 0 and math.isfinite(fa - fb):
+                c = _illinois(u, a, b, fa, fb)
+                if abs(c - t) > 4.0 * _EPS * two_pi:
+                    out.append((c, 0.0))
+    return out
 
 
 def characteristic(curve: ProjCurve, r: float, tol: float = 1e-8) -> float:
@@ -250,7 +451,8 @@ def characteristic(curve: ProjCurve, r: float, tol: float = 1e-8) -> float:
         raise ValueError("radius must be positive")
     val, _ = integrate_periodic(
         lambda th: curve.log_norm_sq(r * complex(math.cos(th), math.sin(th))),
-        tol * 4.0 * math.pi)
+        tol * 4.0 * math.pi, _switching_splits(curve.compiled()[0], r),
+        smooth=True)
     return val / (4.0 * math.pi)
 
 
@@ -259,13 +461,16 @@ def characteristic_scalar(g: ExpPoly, r: float, tol: float = 1e-8) -> float:
     if r <= 0:
         raise ValueError("radius must be positive")
 
-    def integrand(th):
+    def log_abs(th):
         v, s = g.eval_scaled(r * complex(math.cos(th), math.sin(th)))
-        if v == 0:
-            return 0.0
-        return max(0.0, s + math.log(abs(v)))
+        return s + math.log(abs(v)) if v != 0 else float("-inf")
 
-    val, _ = integrate_periodic(integrand, tol * 2.0 * math.pi)
+    # the corners of log+ lie near the switching angles against the
+    # constant 1, moved by the coefficients and the other terms
+    splits = _switching_splits(g.compiled()[0], r, log_plus=True)
+    val, _ = integrate_periodic(
+        lambda th: max(0.0, log_abs(th)), tol * 2.0 * math.pi,
+        splits + _zero_crossings(log_abs, splits))
     return val / (2.0 * math.pi)
 
 
@@ -275,12 +480,13 @@ def circle_log_mean(h: ExpPoly, r: float, tol: float = 1e-8) -> float:
     def integrand(th):
         v, s = h.eval_scaled(r * complex(math.cos(th), math.sin(th)))
         if v == 0:
-            # exact-zero grid hit; integrate_periodic retries -inf nearby
+            # exact zero at a node; integrate_periodic retries -inf nearby
             return float("-inf")
         m = s + math.log(abs(v))
         return m
 
-    val, _ = integrate_periodic(integrand, tol * 2.0 * math.pi, max_pow=17)
+    val, _ = integrate_periodic(integrand, tol * 2.0 * math.pi,
+                                _switching_splits(h.compiled()[0], r))
     return val / (2.0 * math.pi)
 
 
@@ -311,14 +517,23 @@ def _eval_unit(h: ExpPoly, z: complex):
     return v, ref
 
 
-def _winding_pass(h: ExpPoly, radius: float, n0: int, max_depth: int = 54):
-    """One adaptive phase-continuation sweep; returns total phase / 2pi."""
+def _winding_pass(h: ExpPoly, radius: float, n0: int, memo: dict,
+                  max_depth: int = 54):
+    """One adaptive phase-continuation sweep; returns total phase / 2pi.
+
+    memo maps an angle to h's value there, shared by the sweeps of one
+    circle: the points of an n-grid recur bit for bit in the 2n-grid.
+    """
 
     def val(theta):
-        z = radius * complex(math.cos(theta), math.sin(theta))
-        v, ref = _eval_unit(h, z)
-        if abs(v) <= 1e-12 * max(ref, 1e-300):
-            raise WindingError(f"near-zero on circle r={radius} at theta={theta}")
+        v = memo.get(theta)
+        if v is None:
+            z = radius * complex(math.cos(theta), math.sin(theta))
+            v, ref = _eval_unit(h, z)
+            if abs(v) <= 1e-12 * max(ref, 1e-300):
+                raise WindingError(
+                    f"near-zero on circle r={radius} at theta={theta}")
+            memo[theta] = v
         return v
 
     total = 0.0
@@ -351,8 +566,9 @@ def winding_number(h: ExpPoly, radius: float, n0: int = 256) -> int:
     """
     prev = None
     n = n0
+    memo = {}
     while n <= (1 << 17):
-        w = _winding_pass(h, radius, n)
+        w = _winding_pass(h, radius, n, memo)
         k = round(w)
         if abs(w - k) > 0.1:
             raise WindingError(
@@ -399,7 +615,6 @@ def counting_entire(h: ExpPoly, r: float, tol: float = 1e-3,
     if method != "winding":
         raise ValueError(f"unknown counting method {method!r}")
 
-    import heapq
     counts = {}
 
     def n_at(t):

@@ -788,8 +788,6 @@ def _build_tangent_line(curve, dual_of, points_of, lam0, mu0, is_exact):
         return TangentLine(tuple(dual), point, True)
     # numeric candidate
     lamc, muc = complex(lam0), complex(mu0)
-    dual = tuple(c.to_complex() if hasattr(c, "to_complex") else complex(c)
-                 for c in dual_of(CRat(0), CRat(0)))
     # rebuild dual numerically: charts are affine, substitute directly
     dual = _dual_numeric(dual_of, lamc, muc)
     p1n, p2n = _points_numeric(points_of, lamc, muc)

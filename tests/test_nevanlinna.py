@@ -5,13 +5,15 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from curvecomp import nevanlinna
 from curvecomp.expfun import ExpPoly
 from curvecomp.nevanlinna import (DegenerateCurveError, GeneralPositionError,
                                   HomDivisor, ProjCurve, characteristic,
                                   characteristic_scalar, counting,
                                   counting_entire, fit_linear, fmt_check,
                                   integrate_periodic, log_bound_factor,
-                                  order_estimate, rational_growth_test,
+                                  circle_log_mean, order_estimate,
+                                  rational_growth_test,
                                   smt_check, smt_defect_on_sum_relation,
                                   winding_number, zero_count)
 from curvecomp.polys import Poly
@@ -31,13 +33,65 @@ def hyper(*coeffs):
 ONE = ExpPoly.constant(1)
 E_XI = exp_of(XI)
 E_XI2 = exp_of(XI2)
+ORDER2 = curve(E_XI, E_XI2, -(E_XI + E_XI2))
 
 
-def oracle_circle_mean(fn, r, dps=25):
-    """Independent quadrature oracle (mpmath tanh-sinh, not our trapezoid)."""
+def oracle_circle_mean(fn, r, dps=25, cuts=()):
+    """Independent quadrature oracle (mpmath tanh-sinh, not our rule).
+
+    cuts are angles in (0, 2pi) where fn has a corner or singularity on
+    the circle; the oracle integrates between them.
+    """
     with mp.workdps(dps):
-        val = mp.quad(lambda th: fn(r * mp.e ** (1j * th)), [0, 2 * mp.pi])
+        pts = [mp.mpf(0)] + sorted(mp.mpf(c) for c in cuts) + [2 * mp.pi]
+        val = mp.quad(lambda th: fn(r * mp.e ** (1j * th)), pts)
         return float(val) / (2 * math.pi)
+
+
+def oracle_log_plus_mean(fn, r, dps=25, grid=256):
+    """(1/2pi) int log+ |fn| on |z| = r, cut where |fn| = 1 (mpmath)."""
+    with mp.workdps(dps):
+        u = lambda th: mp.log(abs(fn(r * mp.expj(th))))  # noqa: E731
+        ts = [2 * mp.pi * k / grid for k in range(grid + 1)]
+        us = [u(t) for t in ts]
+        cuts = [mp.findroot(u, (a, b), solver="anderson")
+                for a, b, ua, ub in zip(ts, ts[1:], us, us[1:]) if ua * ub < 0]
+    return oracle_circle_mean(lambda z: max(mp.log(abs(fn(z))), 0), r, dps,
+                              cuts)
+
+
+def order2_oracle(r, dps=20):
+    """T of [e^z : e^{z^2} : -(e^z + e^{z^2})] by mpmath, cut at its kinks.
+
+    The kinks are the angles where Re z = Re z^2 on |z| = r, the roots of
+    2 cos^2 t - cos(t) / r - 1 = 0.
+    """
+    with mp.workdps(dps):
+        rr = mp.mpf(r)
+        cuts = []
+        for sign in (1, -1):
+            t = mp.acos((1 / rr + sign * mp.sqrt(1 / rr ** 2 + 8)) / 4)
+            cuts += [t, 2 * mp.pi - t]
+
+        def log_norm_sq(z):
+            a, b = mp.exp(z), mp.exp(z * z)
+            return mp.log(abs(a) ** 2 + abs(b) ** 2 + abs(a + b) ** 2)
+        return oracle_circle_mean(log_norm_sq, r, dps, cuts) / 2
+
+
+def count_evaluations(monkeypatch):
+    """Count the integrand evaluations made through integrate_periodic."""
+    calls = [0]
+    inner = nevanlinna.integrate_periodic
+
+    def counted(fn, *args, **kwargs):
+        def f(theta):
+            calls[0] += 1
+            return fn(theta)
+        return inner(f, *args, **kwargs)
+
+    monkeypatch.setattr(nevanlinna, "integrate_periodic", counted)
+    return calls
 
 
 class TestCharacteristicScalar:
@@ -134,13 +188,32 @@ class TestCounting:
         b = counting(f, d, 12.0, method="circle-mean")
         assert a == pytest.approx(b, abs=5e-3)
 
-    def test_circle_mean_zero_on_base_circle(self):
-        # z - 1 vanishes at a grid node of the base circle r0 = 1
+    def test_circle_mean_zero_on_base_circle(self, monkeypatch):
+        # z - 1 vanishes at the angle 0 of the base circle r0 = 1
         h = ExpPoly.from_poly(poly(-1, 1))
         wind = counting_entire(h, 2.0)
         assert wind == pytest.approx(math.log(2), abs=1e-3)
+        calls = count_evaluations(monkeypatch)
         mean = counting_entire(h, 2.0, method="circle-mean")
         assert mean == pytest.approx(wind, abs=1e-3)
+        # adaptive arcs close in on the log singularity; a uniform rule
+        # converges only algebraically there (65,569 evaluations)
+        assert calls[0] < 2000
+
+    def test_winding_sweeps_share_evaluations(self, monkeypatch):
+        calls = [0]
+        inner = nevanlinna._eval_unit
+
+        def counted(h, z):
+            calls[0] += 1
+            return inner(h, z)
+
+        monkeypatch.setattr(nevanlinna, "_eval_unit", counted)
+        n = counting_entire(E_XI - ONE, 10.0)
+        # the integer counts, hence N, are those of independent sweeps,
+        # which evaluate h 18,436 times on this ladder
+        assert n.hex() == "0x1.9daf20080c499p+1"
+        assert calls[0] <= 12290
 
     def test_monotone(self):
         f = curve(ONE, E_XI)
@@ -332,6 +405,58 @@ class TestQuadrature:
     def test_smooth_integrand(self):
         val, err = integrate_periodic(lambda t: math.cos(3 * t) ** 2, 1e-10)
         assert val == pytest.approx(math.pi, abs=1e-9)
+
+    @pytest.mark.parametrize("r", [128.0, 256.0, 512.0])
+    def test_order2_large_radius(self, r, monkeypatch):
+        # at r = 128 each kink lies 0.0028 rad from a multiple of pi/4; at
+        # r >= 256 a uniform rule ran out of its 2^18 points
+        calls = count_evaluations(monkeypatch)
+        got = characteristic(ORDER2, r)
+        assert got == pytest.approx(order2_oracle(r), abs=10 * 1e-8)
+        assert got == pytest.approx(r * r / math.pi, rel=0.01)
+        # the cost must not grow with r again
+        assert calls[0] <= 5000
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-8])
+    def test_log_plus_corner_off_switching_angle(self, tol):
+        # log|z + 3| moves the corner of log+ |(z + 3) e^z| off the angles
+        # where Re z = 0 by about 0.24 rad at r = 10
+        g = ExpPoly([(poly(3, 1), XI)])
+        want = oracle_log_plus_mean(lambda z: (z + 3) * mp.exp(z), 10.0)
+        assert characteristic_scalar(g, 10.0, tol=tol) == pytest.approx(
+            want, abs=tol)
+
+    @pytest.mark.parametrize("r, tol", [(9.0, 1e-4), (5.0, 1e-6)])
+    def test_log_plus_corners_of_several_terms(self, r, tol):
+        # corners close to, but not at, the switching angles against 1:
+        # the coefficients and the other term move them
+        half = Fraction(1, 2)
+        cases = [
+            (ExpPoly([(poly(half, 0, 3), poly(0, -half, 1))]),
+             lambda z: (half + 3 * z * z) * mp.exp(z * z - z / 2)),
+            (ExpPoly([(poly(2, -1), poly(0, 0, half)),
+                      (poly(half, 1), poly(0, 1, half))]),
+             lambda z: ((2 - z) + (half + z) * mp.exp(z)) * mp.exp(z * z / 2)),
+        ]
+        for g, fn in cases:
+            want = oracle_log_plus_mean(fn, r)
+            assert characteristic_scalar(g, r, tol=tol) == pytest.approx(
+                want, abs=tol)
+
+    @pytest.mark.parametrize("tol", [2.5e-4, 1e-8])
+    def test_circle_mean_zero_on_circle(self, tol):
+        # z - (3 + 4i)/5 vanishes on |z| = 1, inside an arc
+        h = ExpPoly.from_poly(poly(cr(Fraction(-3, 5), Fraction(-4, 5)), 1))
+        want = oracle_circle_mean(
+            lambda z: mp.log(abs(z - mp.mpc(0.6, 0.8))), 1.0,
+            cuts=[mp.atan2(4, 3)])
+        assert circle_log_mean(h, 1.0, tol=tol) == pytest.approx(want, abs=tol)
+        # e^z - 1 vanishes at 2 pi i, on |z| = 2 pi at a switching angle
+        h = E_XI - ONE
+        want = oracle_circle_mean(lambda z: mp.log(abs(mp.exp(z) - 1)),
+                                  2 * math.pi, cuts=[mp.pi / 2, 3 * mp.pi / 2])
+        assert circle_log_mean(h, 2 * math.pi, tol=tol) == pytest.approx(
+            want, abs=tol)
 
     def test_log_factor(self):
         radii = [4, 8, 16, 32]
