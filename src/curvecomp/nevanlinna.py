@@ -228,8 +228,9 @@ QUAD_BUDGET = 1 << 18          # integrand evaluations per integral
 _UNSEEN = 1.0 / 64.0
 _EPS = 2.220446049250313e-16
 
-# the 15 Kronrod abscissae on [-1, 1] in increasing order, with the weights
-# of the Kronrod rule and of the 7-point Gauss rule on every second one
+# the positive Kronrod abscissae on [-1, 1] (decreasing) with their weights,
+# and the Gauss weights of every second one; _X15, _K15 and _G7 are the
+# whole rules, the abscissae increasing and the Gauss rule on _X15[1::2]
 _XGK = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
         0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
         0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
