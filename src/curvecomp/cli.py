@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -51,7 +52,8 @@ def _read_json(path: str):
 
 def _round_floats(doc):
     if isinstance(doc, float):
-        return float(f"{doc:.15g}")
+        # JSON has no Infinity or NaN: a non-finite value is written as null
+        return float(f"{doc:.15g}") if math.isfinite(doc) else None
     if isinstance(doc, dict):
         return {k: _round_floats(v) for k, v in doc.items()}
     if isinstance(doc, (list, tuple)):
@@ -60,7 +62,7 @@ def _round_floats(doc):
 
 
 def _emit(doc, path: str):
-    text = json.dumps(_round_floats(doc), indent=2) + "\n"
+    text = json.dumps(_round_floats(doc), indent=2, allow_nan=False) + "\n"
     if path == "-":
         sys.stdout.write(text)
     else:
@@ -90,8 +92,11 @@ def _parse_complex(spec: str) -> complex:
 
 
 def _load_exppoly(path):
+    return _exppoly_from(_read_json(path))
+
+
+def _exppoly_from(data):
     from .expfun import ExpPoly
-    data = _read_json(path)
     if isinstance(data, dict) and "terms" in data:
         data = data["terms"]
     if not isinstance(data, list):
@@ -99,19 +104,13 @@ def _load_exppoly(path):
     return ExpPoly.from_json(data)
 
 
-def _load_curve(path):
+def _curve_from(data):
     from .nevanlinna import ProjCurve
-    data = _read_json(path)
     if isinstance(data, list):
         data = {"components": data}
-    if "components" not in data:
+    if not isinstance(data, dict) or "components" not in data:
         raise SchemaError("curve JSON needs a 'components' array")
     return ProjCurve.from_json(data)
-
-
-def _load_divisor(path):
-    from .nevanlinna import HomDivisor
-    return _divisor_from(_read_json(path))
 
 
 def _divisor_from(data):
@@ -122,6 +121,14 @@ def _divisor_from(data):
         # plain coefficient vector: a hyperplane sum(c_j z_j)
         return HomDivisor.hyperplane([CRat.from_json(c) for c in data])
     raise SchemaError("divisor JSON needs 'monomials' or a coefficient list")
+
+
+def _divisors_from(data):
+    if isinstance(data, dict):
+        data = data.get("divisors")
+    if not isinstance(data, list):
+        raise SchemaError("divisors JSON needs a list of hyperplanes")
+    return [_divisor_from(d) for d in data]
 
 
 # ---------------------------------------------------------------------------
@@ -177,48 +184,68 @@ def _cmd_chern_enumerate(args):
 # nev group
 # ---------------------------------------------------------------------------
 
-def _nev_payload(args):
-    return _read_json(args.input) if getattr(args, "input", None) else {}
+def _from_file(parse):
+    return lambda path: parse(_read_json(path))
+
+
+# nev input -> (its flag's argparse options, read the flag's value, read
+# the --input payload's value)
+_NEV_INPUTS = {
+    "curve": ({"help": "curve JSON file"}, _from_file(_curve_from),
+              _curve_from),
+    "g": ({"help": "scalar function JSON file"}, _load_exppoly,
+          _exppoly_from),
+    "divisor": ({}, _from_file(_divisor_from), _divisor_from),
+    "divisors": ({"help": "JSON file with a list of hyperplanes"},
+                 _from_file(_divisors_from), _divisors_from),
+    "r": ({"type": float}, float, float),
+    "radii": ({"help": "e.g. 2,4,8,16,32"}, _floats,
+              lambda xs: [float(x) for x in xs]),
+}
+
+
+def _nev_inputs(args):
+    """The command's inputs (args.needs), then its tolerance.
+
+    Each input comes from its flag when given, else from the --input
+    payload; tol from --tol, else the payload, else args.tol_default.
+    """
+    pay = _read_json(args.input) if args.input else {}
+    if not isinstance(pay, dict):
+        raise SchemaError("the --input payload must be a JSON object")
+    out = []
+    for name in args.needs:
+        _, from_flag, from_payload = _NEV_INPUTS[name]
+        flag = getattr(args, name)
+        if flag not in (None, ""):
+            out.append(from_flag(flag))
+        elif name in pay:
+            out.append(from_payload(pay[name]))
+        else:
+            raise SchemaError(f"missing {name!r}: give --{name} or put it "
+                              f"in the --input payload")
+    tol = args.tol if args.tol is not None else \
+        float(pay.get("tol", args.tol_default))
+    return out + [tol]
 
 
 def _cmd_nev_T(args):
     from .nevanlinna import characteristic
-    pay = _nev_payload(args)
-    curve = _load_curve(args.curve) if args.curve else _curve_from(pay["curve"])
-    r = args.r if args.r is not None else float(pay["r"])
-    tol = args.tol if args.tol is not None else float(pay.get("tol", 1e-8))
+    curve, r, tol = _nev_inputs(args)
     val = characteristic(curve, r, tol=tol)
     return {"values": {"T": val, "r": r}, "meta": _meta(args, quadrature=tol)}
 
 
-def _curve_from(data):
-    from .nevanlinna import ProjCurve
-    if isinstance(data, list):
-        data = {"components": data}
-    return ProjCurve.from_json(data)
-
-
 def _cmd_nev_Tscalar(args):
     from .nevanlinna import characteristic_scalar
-    pay = _nev_payload(args)
-    g = _load_exppoly(args.g) if args.g else None
-    if g is None:
-        from .expfun import ExpPoly
-        g = ExpPoly.from_json(pay["g"])
-    r = args.r if args.r is not None else float(pay["r"])
-    tol = args.tol if args.tol is not None else float(pay.get("tol", 1e-8))
+    g, r, tol = _nev_inputs(args)
     val = characteristic_scalar(g, r, tol=tol)
     return {"values": {"T0": val, "r": r}, "meta": _meta(args, quadrature=tol)}
 
 
 def _cmd_nev_N(args):
     from .nevanlinna import counting
-    pay = _nev_payload(args)
-    curve = _load_curve(args.curve) if args.curve else _curve_from(pay["curve"])
-    div = _load_divisor(args.divisor) if args.divisor \
-        else _divisor_from(pay["divisor"])
-    r = args.r if args.r is not None else float(pay["r"])
-    tol = args.tol if args.tol is not None else float(pay.get("tol", 1e-3))
+    curve, div, r, tol = _nev_inputs(args)
     val = counting(curve, div, r, tol=tol, method=args.method)
     return {"values": {"N": val, "r": r},
             "meta": _meta(args, counting=tol, method=args.method)}
@@ -226,44 +253,24 @@ def _cmd_nev_N(args):
 
 def _cmd_nev_order(args):
     from .nevanlinna import order_estimate
-    pay = _nev_payload(args)
-    curve = _load_curve(args.curve) if args.curve else _curve_from(pay["curve"])
-    radii = _floats(args.radii) if args.radii else [float(x) for x in pay["radii"]]
-    tol = args.tol if args.tol is not None else float(pay.get("tol", 1e-8))
+    curve, radii, tol = _nev_inputs(args)
     rep = order_estimate(curve, radii, tol=tol)
-    out = rep.to_json()
-    return {"values": out, "fit": {"slope": rep.fitted_slope,
-                                   "order": rep.fitted_order},
+    return {"values": rep.to_json(), "fit": {"slope": rep.fitted_slope,
+                                             "order": rep.fitted_order},
             "meta": _meta(args, quadrature=tol)}
 
 
 def _cmd_nev_fmt(args):
     from .nevanlinna import fmt_check
-    pay = _nev_payload(args)
-    curve = _load_curve(args.curve) if args.curve else _curve_from(pay["curve"])
-    div = _load_divisor(args.divisor) if args.divisor \
-        else _divisor_from(pay["divisor"])
-    radii = _floats(args.radii) if args.radii else [float(x) for x in pay["radii"]]
-    tol = args.tol if args.tol is not None else float(pay.get("tol", 0.02))
-    rep = fmt_check(curve, div, radii, tol=tol)
-    out = rep.to_json()
+    curve, div, radii, tol = _nev_inputs(args)
+    out = fmt_check(curve, div, radii, tol=tol).to_json()
     out["meta"] = _meta(args, slack=tol)
     return out
 
 
 def _cmd_nev_smt(args):
     from .nevanlinna import smt_check
-    pay = _nev_payload(args)
-    curve = _load_curve(args.curve) if args.curve else _curve_from(pay["curve"])
-    if args.divisors:
-        data = _read_json(args.divisors)
-    else:
-        data = pay["divisors"]
-    if isinstance(data, dict):
-        data = data["divisors"]
-    hyps = [_divisor_from(d) for d in data]
-    radii = _floats(args.radii) if args.radii else [float(x) for x in pay["radii"]]
-    tol = args.tol if args.tol is not None else float(pay.get("tol", 0.05))
+    curve, hyps, radii, tol = _nev_inputs(args)
     rep = smt_check(curve, hyps, radii, resid_tol=tol, n_method=args.method)
     out = rep.to_json()
     out["meta"] = _meta(args, residual=tol, method=args.method)
@@ -444,34 +451,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     nev = groups.add_parser("nev", help="growth functionals and main theorems")
     nsub = nev.add_subparsers(dest="cmd", required=True)
-    for name, fn, needs in (
-            ("T", _cmd_nev_T, ("curve", "r")),
-            ("Tscalar", _cmd_nev_Tscalar, ("g", "r")),
-            ("N", _cmd_nev_N, ("curve", "divisor", "r")),
-            ("order", _cmd_nev_order, ("curve", "radii")),
-            ("fmt", _cmd_nev_fmt, ("curve", "divisor", "radii")),
-            ("smt", _cmd_nev_smt, ("curve", "divisors", "radii"))):
+    for name, fn, needs, tol in (
+            ("T", _cmd_nev_T, ("curve", "r"), 1e-8),
+            ("Tscalar", _cmd_nev_Tscalar, ("g", "r"), 1e-8),
+            ("N", _cmd_nev_N, ("curve", "divisor", "r"), 1e-3),
+            ("order", _cmd_nev_order, ("curve", "radii"), 1e-8),
+            ("fmt", _cmd_nev_fmt, ("curve", "divisor", "radii"), 0.02),
+            ("smt", _cmd_nev_smt, ("curve", "divisors", "radii"), 0.05)):
         p = nsub.add_parser(name)
         p.add_argument("--input", default=None,
                        help="JSON payload with curve/divisor/radii/tol")
-        if "curve" in needs:
-            p.add_argument("--curve", default=None, help="curve JSON file")
-        if "g" in needs:
-            p.add_argument("--g", default=None, help="scalar function JSON file")
-        if "divisor" in needs:
-            p.add_argument("--divisor", default=None)
-        if "divisors" in needs:
-            p.add_argument("--divisors", default=None,
-                           help="JSON file with a list of hyperplanes")
-        if "r" in needs:
-            p.add_argument("--r", type=float, default=None)
-        if "radii" in needs:
-            p.add_argument("--radii", default=None, help="e.g. 2,4,8,16,32")
+        for key in needs:
+            p.add_argument(f"--{key}", default=None, **_NEV_INPUTS[key][0])
         if name in ("N", "smt"):
             p.add_argument("--method", default="winding",
                            choices=["winding", "circle-mean"])
-        _common(p, tol_default="per command")
-        p.set_defaults(func=fn)
+        _common(p, tol_default=tol)
+        p.set_defaults(func=fn, needs=needs, tol_default=tol)
 
     borel = groups.add_parser("borel", help="exponential identity engine")
     bsub = borel.add_subparsers(dest="cmd", required=True)

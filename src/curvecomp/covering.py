@@ -67,6 +67,15 @@ PLAIN = "plain"
 LOG1 = "log1"
 
 
+def _as_ratfunc(c) -> RatFunc:
+    """A form coefficient: a RatFunc, an MPoly or an exact scalar."""
+    if isinstance(c, RatFunc):
+        return c
+    if isinstance(c, MPoly):
+        return RatFunc(c)
+    return RatFunc.const(as_crat(c))
+
+
 class SymForm:
     """Symmetric M-form with reduced rational-function coefficients.
 
@@ -81,14 +90,7 @@ class SymForm:
     def __init__(self, M: int, basis: str, coeffs, var_names=("z1", "z2")):
         if basis not in (PLAIN, LOG1):
             raise ValueError(f"unknown basis {basis!r}")
-        cs = []
-        for c in coeffs:
-            if isinstance(c, RatFunc):
-                cs.append(c)
-            elif isinstance(c, MPoly):
-                cs.append(RatFunc(c))
-            else:
-                cs.append(RatFunc.const(as_crat(c)))
+        cs = [_as_ratfunc(c) for c in coeffs]
         if len(cs) != M + 1:
             raise ValueError(f"need M+1 = {M + 1} coefficients, got {len(cs)}")
         object.__setattr__(self, "M", M)
@@ -103,8 +105,7 @@ class SymForm:
     def monomial(cls, M: int, i: int, coeff, basis: str = PLAIN,
                  var_names=("z1", "z2")) -> "SymForm":
         cs = [RatFunc.zero()] * (M + 1)
-        cs[i] = coeff if isinstance(coeff, RatFunc) else (
-            RatFunc(coeff) if isinstance(coeff, MPoly) else RatFunc.const(as_crat(coeff)))
+        cs[i] = _as_ratfunc(coeff)
         return cls(M, basis, cs, var_names)
 
     def is_zero(self) -> bool:
@@ -257,16 +258,23 @@ def express_plain_basis(form: SymForm) -> SymForm:
     return SymForm(form.M, PLAIN, out, form.var_names)
 
 
-def _invariance_residue(p: MPoly, b: int):
-    """The common exponent class mod b of x1-exponents, or an offender."""
+def _invariance_residue(p: MPoly, b: int, where: str) -> int:
+    """The common exponent class mod b of the x1-exponents of p."""
     cls = None
     for e in sorted(p.terms):
         r = e[0] % b
         if cls is None:
             cls = r
         elif r != cls:
-            return None, e
-    return (0 if cls is None else cls), None
+            raise NonInvariantFormError(
+                f"{where} monomial x1^{e[0]} x2^{e[1]} breaks the mod-{b} "
+                f"class")
+    return 0 if cls is None else cls
+
+
+def _map_x1(p: MPoly, fn) -> MPoly:
+    """p with every x1-exponent e1 replaced by fn(e1)."""
+    return MPoly(2, [((fn(e[0]), e[1]), v) for e, v in p.terms.items()])
 
 
 def push_down(form: SymForm, cover: CyclicCover) -> SymForm:
@@ -285,26 +293,16 @@ def push_down(form: SymForm, cover: CyclicCover) -> SymForm:
         if c.is_zero():
             out.append(c)
             continue
-        sn, bad = _invariance_residue(c.num, b)
-        if bad is not None:
-            raise NonInvariantFormError(
-                f"coefficient {i}: numerator monomial x1^{bad[0]} x2^{bad[1]} "
-                f"breaks the mod-{b} class")
-        sd, bad = _invariance_residue(c.den, b)
-        if bad is not None:
-            raise NonInvariantFormError(
-                f"coefficient {i}: denominator monomial x1^{bad[0]} x2^{bad[1]} "
-                f"breaks the mod-{b} class")
+        sn, sd = (_invariance_residue(p, b, f"coefficient {i}: {part}")
+                  for part, p in (("numerator", c.num),
+                                  ("denominator", c.den)))
         if sn != sd:
             raise NonInvariantFormError(
                 f"coefficient {i}: numerator class {sn} != denominator class "
                 f"{sd} (mod {b})")
-        shift = min(min(e[0] for e in c.num.terms),
-                    min(e[0] for e in c.den.terms))
-        num = MPoly(2, [((((e[0] - shift) // b), e[1]), v)
-                        for e, v in c.num.terms.items()])
-        den = MPoly(2, [((((e[0] - shift) // b), e[1]), v)
-                        for e, v in c.den.terms.items()])
+        shift = min(e[0] for p in (c.num, c.den) for e in p.terms)
+        num, den = (_map_x1(p, lambda e1: (e1 - shift) // b)
+                    for p in (c.num, c.den))
         out.append(RatFunc(num, den) * binv ** i)
     return SymForm(lf.M, LOG1, out, ("xi1", "xi2"))
 
@@ -316,8 +314,7 @@ def pull_back_cyclic(form: SymForm, cover: CyclicCover) -> SymForm:
     out = []
     bfac = CRat(b)
     for i, c in enumerate(lf.coeffs):
-        num = MPoly(2, [(((e[0] * b), e[1]), v) for e, v in c.num.terms.items()])
-        den = MPoly(2, [(((e[0] * b), e[1]), v) for e, v in c.den.terms.items()])
+        num, den = (_map_x1(p, lambda e1: e1 * b) for p in (c.num, c.den))
         out.append(RatFunc(num, den) * bfac ** i)
     return SymForm(lf.M, LOG1, out, ("z1", "z2"))
 

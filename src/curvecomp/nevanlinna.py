@@ -849,17 +849,9 @@ def smt_check(curve: ProjCurve, hyperplanes, radii,
     check_general_position(hyperplanes, n)
     if _component_rank(curve.components) < n + 1:
         raise DegenerateCurveError("curve is linearly degenerate")
-    ts = [characteristic(curve, r) for r in radii]
-    ns = [[counting(curve, h, r, method=n_method) for r in radii]
-          for h in hyperplanes]
-    delta = [(q - n - 1) * t - sum(col[i] for col in ns)
-             for i, t in enumerate(ts)]
-    a, b, rms = fit_linear([math.log(r) for r in radii], delta)
-    scale = max(1.0, max(abs(t) for t in ts))
-    rel = rms / scale
-    factor = log_bound_factor(radii, ts) if radii[0] > 1.0 else float("nan")
-    return SmtReport(radii, ts, ns, delta, a, b, rel, factor,
-                     rel < resid_tol)
+    return _smt_report(curve, radii, q - n - 1, hyperplanes,
+                       lambda h, r: counting(curve, h, r, method=n_method),
+                       resid_tol)
 
 
 def smt_defect_on_sum_relation(components, radii,
@@ -889,14 +881,20 @@ def smt_defect_on_sum_relation(components, radii,
             raise DegenerateCurveError(
                 f"a relation omits component {j}: minimality fails")
     radii = sorted(float(r) for r in radii)
-    curve = ProjCurve(comps)
+    return _smt_report(ProjCurve(comps), radii, 1, comps,
+                       lambda c, r: counting_entire(c, r, method=n_method),
+                       resid_tol)
+
+
+def _smt_report(curve, radii, weight, targets, count, resid_tol):
+    """delta(r) = weight T(r) - sum_j count(targets[j], r), fitted against
+    a log r + b; the residual is taken relative to the largest T."""
     ts = [characteristic(curve, r) for r in radii]
-    ns = [[counting_entire(c, r, method=n_method) for r in radii]
-          for c in comps]
-    delta = [t - sum(col[i] for col in ns) for i, t in enumerate(ts)]
+    ns = [[count(x, r) for r in radii] for x in targets]
+    delta = [weight * t - sum(col[i] for col in ns)
+             for i, t in enumerate(ts)]
     a, b, rms = fit_linear([math.log(r) for r in radii], delta)
-    scale = max(1.0, max(abs(t) for t in ts))
-    rel = rms / scale
+    rel = rms / max(1.0, max(abs(t) for t in ts))
     factor = log_bound_factor(radii, ts) if radii[0] > 1.0 else float("nan")
     return SmtReport(radii, ts, ns, delta, a, b, rel, factor, rel < resid_tol)
 

@@ -207,22 +207,8 @@ class ProjPoint:
         return cls(cs, False)
 
     def same_as(self, other: "ProjPoint", tol: float = 1e-9) -> bool:
-        if self.exact and other.exact:
-            for i in range(3):
-                for j in range(i + 1, 3):
-                    if not (self.coords[i] * other.coords[j]
-                            - self.coords[j] * other.coords[i]).is_zero():
-                        return False
-            return True
-        a = [complex(c.to_complex()) if hasattr(c, "to_complex") else complex(c)
-             for c in self.coords]
-        b = [complex(c.to_complex()) if hasattr(c, "to_complex") else complex(c)
-             for c in other.coords]
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if abs(a[i] * b[j] - a[j] * b[i]) > tol:
-                    return False
-        return True
+        return _proportional(self.coords, other.coords,
+                             self.exact and other.exact, tol)
 
     def to_json(self):
         if self.exact:
@@ -234,6 +220,28 @@ class ProjPoint:
         if self.exact:
             return "(" + " : ".join(str(c) for c in self.coords) + ")"
         return "(" + " : ".join(f"{c:.6g}" for c in self.coords) + ")"
+
+
+def _as_complex(c) -> complex:
+    """An exact scalar or a float/complex number as a complex."""
+    return c.to_complex() if hasattr(c, "to_complex") else complex(c)
+
+
+def _proportional(a, b, exact: bool, tol: float, scaled: bool = False):
+    """Do the triples a and b span the same projective point?
+
+    Exact triples compare exactly.  Otherwise every 2x2 minor a_i b_j -
+    a_j b_i must be at most tol in modulus, or at most
+    tol * max|a_i| * max|b_i| when scaled.
+    """
+    pairs = ((0, 1), (0, 2), (1, 2))
+    if exact:
+        return all((a[i] * b[j] - a[j] * b[i]).is_zero() for i, j in pairs)
+    a = [_as_complex(c) for c in a]
+    b = [_as_complex(c) for c in b]
+    if scaled:
+        tol = tol * max(abs(x) for x in a) * max(abs(x) for x in b)
+    return not any(abs(a[i] * b[j] - a[j] * b[i]) > tol for i, j in pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +314,8 @@ def _intersections_in_chart(c1, c2, matrix):
 
 
 def _point_sort_key(pm):
-    pt = pm[0]
-    cs = [c.to_complex() if pm[0].exact else complex(c) for c in pt.coords]
-    return tuple((round(c.real, 9), round(c.imag, 9)) for c in cs)
+    return tuple((round(c.real, 9), round(c.imag, 9))
+                 for c in map(_as_complex, pm[0].coords))
 
 
 def _apply_matrix(matrix, y):
@@ -405,11 +412,11 @@ def _candidates_hit(f, g, witness, eliminant: Poly) -> bool:
             gv = poly_gcd(_specialize_u(f, alpha), _specialize_u(g, alpha))
             if gv.degree < 1:
                 continue
-            for beta in exact_roots(gv)[0]:
+            ex_beta, nu_beta = exact_roots(gv)
+            for beta in ex_beta:
                 if witness.eval_exact([alpha, beta]).is_zero():
                     return True
-            _, nroots = exact_roots(gv)
-            for beta in nroots:
+            for beta in nu_beta:
                 w = witness.eval_complex([complex(alpha.to_complex()),
                                           complex(beta)])
                 if abs(w) < 1e-10:
@@ -602,24 +609,8 @@ class TangentLine:
     exact: bool
 
     def same_line(self, other: "TangentLine", tol: float = 1e-9) -> bool:
-        if self.exact and other.exact:
-            for i in range(3):
-                for j in range(i + 1, 3):
-                    if not (self.dual[i] * other.dual[j]
-                            - self.dual[j] * other.dual[i]).is_zero():
-                        return False
-            return True
-        a = [c.to_complex() if hasattr(c, "to_complex") else complex(c)
-             for c in self.dual]
-        b = [c.to_complex() if hasattr(c, "to_complex") else complex(c)
-             for c in other.dual]
-        na = max(abs(x) for x in a)
-        nb = max(abs(x) for x in b)
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if abs(a[i] * b[j] - a[j] * b[i]) > tol * na * nb:
-                    return False
-        return True
+        return _proportional(self.dual, other.dual,
+                             self.exact and other.exact, tol, scaled=True)
 
     def to_json(self):
         if self.exact:
@@ -641,39 +632,30 @@ _CHARTS = (
 )
 
 
-def _compose_on_line(curve_poly: MPoly, p1, p2):
-    """Binary-form coefficients of the restriction to the line span(p1, p2).
+def _restrict_to_line(poly: MPoly, p1, p2, lift):
+    """Binary-form coefficients of poly restricted to the line span(p1, p2).
 
-    p1, p2 have entries in MPoly(2) over the dual chart parameters; returns
-    the list a_q (q = power of the first line parameter) of MPoly(2).
+    Entry q is the coefficient of s^q t^(d-q) in poly(s p1 + t p2).  The
+    entries of p1 and p2 may lie in any ring with + and *: exact scalars,
+    complex numbers, or MPoly(2) over the dual chart parameters.  lift maps
+    an exact coefficient of poly into that ring.
     """
-    zero2 = MPoly(2)
-    one2 = MPoly.monomial(2, (0, 0), CRat(1))
-    d = curve_poly.total_degree()
-    out = [zero2 for _ in range(d + 1)]
-    # phi_c(s, t) = p1[c] * s + p2[c] * t; expand curve(phi) by monomial
-    for e, c in curve_poly.iter_sorted():
-        # product over coordinates of (p1_c s + p2_c t)^{e_c}
-        # maintained as a list over powers of s of MPoly(2) coefficients
-        acc = [one2.scale(c)]
+    zero = lift(CRat(0))
+    out = [zero] * (poly.total_degree() + 1)
+    for e, c in poly.terms.items():
+        # product over coordinates of (p1_c s + p2_c t)^{e_c}, kept as a
+        # list over powers of s
+        acc = [lift(c)]
         for coord in range(3):
             for _ in range(e[coord]):
-                nxt = [zero2] * (len(acc) + 1)
+                nxt = [zero] * (len(acc) + 1)
                 for q, a in enumerate(acc):
-                    if a.is_zero():
-                        continue
                     nxt[q + 1] = nxt[q + 1] + a * p1[coord]
                     nxt[q] = nxt[q] + a * p2[coord]
                 acc = nxt
         for q, a in enumerate(acc):
             out[q] = out[q] + a
     return out
-
-
-def _lambda_mu_mpolys():
-    lam = MPoly.monomial(2, (1, 0), CRat(1))
-    mu = MPoly.monomial(2, (0, 1), CRat(1))
-    return lam, mu
 
 
 def total_tangent_lines(curve: PlaneCurve):
@@ -689,15 +671,16 @@ def total_tangent_lines(curve: PlaneCurve):
     if d > 4:
         raise UnsupportedDegreeError(
             f"total-tangent search unsupported at degree {d} (cap 4)")
-    lam, mu = _lambda_mu_mpolys()
+    lam = MPoly.monomial(2, (1, 0), CRat(1))
+    mu = MPoly.monomial(2, (0, 1), CRat(1))
+
+    def lift(c):
+        return c if isinstance(c, MPoly) else MPoly.monomial(2, (0, 0), c)
+
     found = []
     for dual_of, points_of in _CHARTS:
-        p1m, p2m = points_of(lam, mu)
-        p1 = [x if isinstance(x, MPoly) else MPoly.monomial(2, (0, 0), x)
-              for x in p1m]
-        p2 = [x if isinstance(x, MPoly) else MPoly.monomial(2, (0, 0), x)
-              for x in p2m]
-        avec = _compose_on_line(curve.poly, p1, p2)
+        p1, p2 = ([lift(x) for x in p] for p in points_of(lam, mu))
+        avec = _restrict_to_line(curve.poly, p1, p2, lift)
         bvec = [a.scale(Fraction(1, _BINOM[d][q])) for q, a in enumerate(avec)]
         minors = []
         for q in range(d):
@@ -764,111 +747,49 @@ def _minors_small(minors, lam0, mu0, tol: float = 1e-10):
 
 
 def _build_tangent_line(curve, dual_of, points_of, lam0, mu0, is_exact):
+    """The line at chart parameters (lam0, mu0) with its contact point, or
+    None when the curve restricts to zero or to no perfect power on it."""
     if is_exact:
-        dual = dual_of(lam0, mu0)
+        dual = tuple(dual_of(lam0, mu0))
         p1, p2 = points_of(lam0, mu0)
-        avec = _restrict_exact(curve.poly, p1, p2)
-        nz = [q for q, a in enumerate(avec) if not a.is_zero()]
-        if not nz:
-            return None  # line inside the curve: not a tangent line
-        d = curve.degree
-        bq = [avec[q] / _BINOM[d][q] for q in range(d + 1)]
-        if all(b.is_zero() for b in bq[:-1]):
-            s, t = CRat(0), CRat(1)
-        else:
-            if bq[0].is_zero():
-                return None  # not a perfect power (rank check failed)
-            rho = bq[1] / bq[0]
-            s, t = CRat(1), -rho
-        pt = tuple(s * a + t * b for a, b in zip(p1, p2))
-        try:
-            point = ProjPoint.from_exact(pt)
-        except ValueError:
-            return None
-        return TangentLine(tuple(dual), point, True)
-    # numeric candidate
-    lamc, muc = complex(lam0), complex(mu0)
-    # rebuild dual numerically: charts are affine, substitute directly
-    dual = _dual_numeric(dual_of, lamc, muc)
-    p1n, p2n = _points_numeric(points_of, lamc, muc)
-    avec = _restrict_numeric(curve.poly, p1n, p2n)
-    d = curve.degree
-    bq = [avec[q] / _BINOM[d][q] for q in range(d + 1)]
-    lead = max(abs(b) for b in bq)
-    if lead == 0:
-        return None
-    if all(abs(b) < 1e-18 * lead for b in bq[:-1]):
-        s, t = 0.0, 1.0
+        lift, zero, one = (lambda c: c), CRat(0), CRat(1)
     else:
-        if abs(bq[0]) < 1e-18 * lead:
-            return None
-        rho = bq[1] / bq[0]
-        s, t = 1.0, -rho
-    pt = tuple(s * a + t * b for a, b in zip(p1n, p2n))
+        lamc, muc = complex(lam0), complex(mu0)
+
+        def numeric(vec):
+            # the chart entries are 0, 1, +-lamc or +-muc, so exact; + 0j
+            # turns the -0.0 parts that negation leaves into 0.0
+            return tuple(_as_complex(c) + 0j for c in vec)
+
+        dual = numeric(dual_of(lamc, muc))
+        p1, p2 = (numeric(p) for p in points_of(lamc, muc))
+        lift, zero, one = CRat.to_complex, 0.0, 1.0
+    d = curve.degree
+    avec = _restrict_to_line(curve.poly, p1, p2, lift)
+    bq = [avec[q] / _BINOM[d][q] for q in range(d + 1)]
+    if all(b == 0 for b in bq):
+        return None  # line inside the curve: not a tangent line
+    if is_exact:
+        small = CRat.is_zero
+    else:
+        lead = max(abs(b) for b in bq)
+
+        def small(b):
+            return abs(b) < 1e-18 * lead
+
+    if all(small(b) for b in bq[:-1]):
+        s, t = zero, one
+    elif small(bq[0]):
+        return None  # not a perfect power (rank check failed)
+    else:
+        s, t = one, -(bq[1] / bq[0])
+    pt = tuple(s * a + t * b for a, b in zip(p1, p2))
     try:
-        point = ProjPoint.from_numeric(pt)
+        point = ProjPoint.from_exact(pt) if is_exact \
+            else ProjPoint.from_numeric(pt)
     except ValueError:
         return None
-    return TangentLine(dual, point, False)
-
-
-def _restrict_exact(poly, p1, p2):
-    d = poly.total_degree()
-    out = [CRat(0)] * (d + 1)
-    for e, c in poly.terms.items():
-        acc = [c]
-        for coord in range(3):
-            for _ in range(e[coord]):
-                nxt = [CRat(0)] * (len(acc) + 1)
-                for q, a in enumerate(acc):
-                    nxt[q + 1] = nxt[q + 1] + a * p1[coord]
-                    nxt[q] = nxt[q] + a * p2[coord]
-                acc = nxt
-        for q, a in enumerate(acc):
-            out[q] = out[q] + a
-    return out
-
-
-def _restrict_numeric(poly, p1, p2):
-    d = poly.total_degree()
-    out = [0j] * (d + 1)
-    for e, c in poly.terms.items():
-        acc = [c.to_complex()]
-        for coord in range(3):
-            for _ in range(e[coord]):
-                nxt = [0j] * (len(acc) + 1)
-                for q, a in enumerate(acc):
-                    nxt[q + 1] += a * p1[coord]
-                    nxt[q] += a * p2[coord]
-                acc = nxt
-        for q, a in enumerate(acc):
-            out[q] += a
-    return out
-
-
-def _dual_numeric(dual_of, lamc, muc):
-    probe = dual_of(CRat(0), CRat(0))
-    out = []
-    for base, dl, dm in zip(probe,
-                            dual_of(CRat(1), CRat(0)),
-                            dual_of(CRat(0), CRat(1))):
-        b = base.to_complex()
-        out.append(b + (dl.to_complex() - b) * lamc + (dm.to_complex() - b) * muc)
-    return tuple(out)
-
-
-def _points_numeric(points_of, lamc, muc):
-    p1r, p2r = points_of(CRat(0), CRat(0))
-    p1l, p2l = points_of(CRat(1), CRat(0))
-    p1m, p2m = points_of(CRat(0), CRat(1))
-
-    def mix(base, at_l, at_m):
-        return tuple(b.to_complex()
-                     + (l.to_complex() - b.to_complex()) * lamc
-                     + (m.to_complex() - b.to_complex()) * muc
-                     for b, l, m in zip(base, at_l, at_m))
-
-    return mix(p1r, p1l, p1m), mix(p2r, p2l, p2m)
+    return TangentLine(dual, point, is_exact)
 
 
 @dataclass
@@ -948,8 +869,7 @@ def _line_line_meet(tl: TangentLine, line_curve: PlaneCurve):
         if all(c.is_zero() for c in cross):
             return None
         return ProjPoint.from_exact(cross)
-    a = [c.to_complex() if hasattr(c, "to_complex") else complex(c)
-         for c in tl.dual]
+    a = [_as_complex(c) for c in tl.dual]
     b = [c.to_complex() for c in lc]
     cross = (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
              a[0] * b[1] - a[1] * b[0])
@@ -971,12 +891,8 @@ def _check_quadric_condition(quadric: PlaneCurve, tline: TangentLine,
             return {"line": tline.to_json(), "P": p.to_json(),
                     "Q": q.to_json(), "exact": True}
         return None
-    pv = quadric.poly.eval_complex([complex(c.to_complex())
-                                    if hasattr(c, "to_complex") else complex(c)
-                                    for c in p.coords])
-    qv = quadric.poly.eval_complex([complex(c.to_complex())
-                                    if hasattr(c, "to_complex") else complex(c)
-                                    for c in q.coords])
+    pv = quadric.poly.eval_complex([_as_complex(c) for c in p.coords])
+    qv = quadric.poly.eval_complex([_as_complex(c) for c in q.coords])
     if abs(pv) < 1e-10 and abs(qv) < 1e-10:
         return {"line": tline.to_json(), "P": p.to_json(), "Q": q.to_json(),
                 "exact": False}

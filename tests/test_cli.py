@@ -227,6 +227,50 @@ class TestErrors:
                              ["plane", "intersect", "--input", str(p)])
         assert code == 1 and doc["error"]["type"] == "NonCoprimeError"
 
+    @pytest.mark.parametrize("argv, payload, field", [
+        (["nev", "T"], {"curve": CURVE_EXP}, "r"),
+        (["nev", "T", "--r", "2"], {}, "curve"),
+        (["nev", "Tscalar"], {"r": 2.0}, "g"),
+        (["nev", "N", "--r", "2"], {"curve": CURVE_EXP}, "divisor"),
+        (["nev", "order"], {"curve": CURVE_EXP}, "radii"),
+        (["nev", "smt", "--radii", "2,3,4,5"], {"curve": CURVE_EXP},
+         "divisors"),
+    ])
+    def test_missing_nev_input_named(self, tmp_path, argv, payload, field):
+        p = tmp_path / "in.json"
+        p.write_text(json.dumps(payload))
+        code, doc = run_json(tmp_path, "o.json", argv + ["--input", str(p)])
+        assert code == 1 and doc["error"]["type"] == "SchemaError"
+        assert doc["error"]["message"] == (
+            f"missing '{field}': give --{field} or put it in the --input "
+            f"payload")
+
+    def test_payload_curve_needs_components(self, tmp_path):
+        p = tmp_path / "in.json"
+        p.write_text(json.dumps({"curve": {"comps": []}, "r": 2.0}))
+        code, doc = run_json(tmp_path, "o.json",
+                             ["nev", "T", "--input", str(p)])
+        assert code == 1 and doc["error"]["type"] == "SchemaError"
+        assert "'components'" in doc["error"]["message"]
+
+    def test_output_is_strict_json(self, tmp_path):
+        # two rational classes: the refutation's factors are infinite
+        p = tmp_path / "sum.json"
+        p.write_text(json.dumps({
+            "M": 1, "p1": [[0, 1, 0, 1], [1, 1, 0, 1]],
+            "p2": [[0, 1, 0, 1], [0, 1, 0, 1], [1, 1, 0, 1]],
+            "terms": [{"coeff": [1, 1, 0, 1], "i": 1, "j": 0, "k": 0},
+                      {"coeff": [-2, 1, 0, 1], "i": 0, "j": 1, "k": 1}]}))
+        code, raw = run_cli(tmp_path, "o.json",
+                            ["borel", "refute", "--input", str(p)])
+
+        def reject(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        doc = json.loads(raw, parse_constant=reject)
+        assert code == 0 and doc["refuted"] and doc["L"] == 2
+        assert doc["log_factor"] is None and doc["logfit_residual"] is None
+
     def test_unknown_subcommand_exit2(self):
         with pytest.raises(SystemExit) as exc:
             main(["nosuchgroup"])

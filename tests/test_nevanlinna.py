@@ -1,6 +1,8 @@
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -311,6 +313,29 @@ class TestSmt:
         with pytest.raises(DegenerateCurveError):
             smt_defect_on_sum_relation([E_XI, -E_XI, E_XI2, -E_XI2],
                                        [4, 8, 16])
+
+    def test_reports_bit_identical(self):
+        """Both SMT checks' reports, floats by hex as first recorded
+        (tests/golden/nevanlinna/smt_reports.json, written before the two
+        checks shared one T / N / delta / fit tail)."""
+        def hexed(doc):
+            if isinstance(doc, float):
+                return doc.hex()
+            if isinstance(doc, dict):
+                return {k: hexed(v) for k, v in doc.items()}
+            if isinstance(doc, list):
+                return [hexed(v) for v in doc]
+            return doc
+
+        want = json.loads((Path(__file__).resolve().parent / "golden"
+                           / "nevanlinna" / "smt_reports.json").read_text())
+        rep = smt_check(curve(ONE, E_XI),
+                        [hyper(1, 0), hyper(0, 1), hyper(1, -1)],
+                        [2, 3, 4, 5])
+        assert hexed(rep.to_json()) == want["smt_check"]
+        rep = smt_defect_on_sum_relation([E_XI, E_XI2, -(E_XI + E_XI2)],
+                                         [2, 4, 6, 8], n_method="circle-mean")
+        assert hexed(rep.to_json()) == want["sum_relation"]
 
 
 class TestRationalGrowth:

@@ -1,11 +1,14 @@
+import json
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
+from pathlib import Path
+
 import pytest
 
 from curvecomp.planeconf import (Configuration, NonCoprimeError, PlaneCurve,
-                                 PlaneConfError, ProjPoint,
+                                 PlaneConfError, ProjPoint, TangentLine,
                                  UnsupportedDegreeError, eq_star, fulton_bound,
                                  intersection_points, normal_crossings,
                                  quadric_line_exclusion, surviving_cases,
@@ -15,6 +18,8 @@ from curvecomp.polys import MPoly
 from curvecomp.scalars import CRat
 
 from conftest import mp3
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "planeconf"
 
 
 def curve(monos):
@@ -247,6 +252,79 @@ class TestTotalTangents:
         quintic = curve([((5, 0, 0), 1), ((0, 5, 0), 1), ((0, 0, 5), 1)])
         with pytest.raises(UnsupportedDegreeError):
             total_tangent_lines(quintic)
+
+
+def _hexed(doc):
+    if isinstance(doc, float):
+        return doc.hex()
+    if isinstance(doc, dict):
+        return {k: _hexed(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_hexed(v) for v in doc]
+    return doc
+
+
+class TestTangentLinePins:
+    """Tangent lines and their floats, bit for bit as first recorded.
+
+    tests/golden/planeconf/tangent_lines.json holds the to_json() of every
+    line, floats as float.hex, written before the exact and numeric line
+    restrictions were merged into one ring-generic routine.
+    """
+
+    WANT = json.loads((GOLDEN / "tangent_lines.json").read_text())
+
+    @pytest.mark.parametrize("name, monos, n_exact", [
+        ("fermat", [((3, 0, 0), 1), ((0, 3, 0), 1), ((0, 0, 3), 1)], 3),
+        ("x3+2y3-3z3+xyz", [((3, 0, 0), 1), ((0, 3, 0), 2), ((0, 0, 3), -3),
+                            ((1, 1, 1), 1)], 0),
+    ])
+    def test_lines_bit_identical(self, name, monos, n_exact):
+        lines = total_tangent_lines(curve(monos))
+        assert len(lines) == 9
+        assert sum(t.exact for t in lines) == n_exact
+        assert [_hexed(t.to_json()) for t in lines] == self.WANT[name]
+
+    def test_point_tolerance_is_absolute(self):
+        big = ProjPoint((100.0 + 0j, 0j, 0j), False)
+        assert big.same_as(ProjPoint((1 + 0j, 0.9e-11 + 0j, 0j), False))
+        assert not big.same_as(ProjPoint((1 + 0j, 1.1e-11 + 0j, 0j), False))
+        unit = ProjPoint((1 + 0j, 0j, 0j), False)
+        assert unit.same_as(ProjPoint((1 + 0j, 0.9e-9 + 0j, 0j), False))
+        assert not unit.same_as(ProjPoint((1 + 0j, 1.1e-9 + 0j, 0j), False))
+        assert not unit.same_as(ProjPoint((1 + 0j, 1.1e-9 + 0j, 0j), False),
+                                tol=1e-9)
+        assert unit.same_as(ProjPoint((1 + 0j, 1.1e-9 + 0j, 0j), False),
+                            tol=2e-9)
+        # mixed exact and numeric compares through complex values
+        assert pt(1, 0, 0).same_as(ProjPoint((2 + 0j, 0.9e-9j, 0j), False))
+        assert not pt(1, 0, 0).same_as(ProjPoint((2 + 0j, 1.1e-9j, 0j),
+                                                 False))
+        # exact pairs compare exactly
+        assert pt(1, 2, 3).same_as(pt(2, 4, 6))
+        assert not pt(1, 2, 3).same_as(
+            ProjPoint.from_exact([CRat(1), CRat(2),
+                                  CRat(3 + Fraction(1, 10 ** 30))]))
+
+    def test_line_tolerance_is_scaled(self):
+        anchor = pt(0, 0, 1)
+
+        def line(*dual, exact=False):
+            return TangentLine(tuple(dual), anchor, exact)
+
+        big = line(100.0 + 0j, 0j, 0j)
+        # |minor| 9e-8 and 1.1e-7 against tol * |a| * |b| = 1e-7
+        assert big.same_line(line(1 + 0j, 0.9e-9 + 0j, 0j))
+        assert not big.same_line(line(1 + 0j, 1.1e-9 + 0j, 0j))
+        assert big.same_line(line(1 + 0j, 1.1e-9 + 0j, 0j), tol=2e-9)
+        # exact against numeric
+        ex = line(CRat(1), CRat(0), CRat(0), exact=True)
+        assert ex.same_line(line(3 + 0j, 2.9e-9j, 0j))
+        assert not ex.same_line(line(3 + 0j, 3.1e-9j, 0j))
+        # exact pairs compare exactly
+        assert ex.same_line(line(CRat(5), CRat(0), CRat(0), exact=True))
+        assert not ex.same_line(line(CRat(1), CRat(Fraction(1, 10 ** 30)),
+                                     CRat(0), exact=True))
 
 
 class TestQuadricExclusion:
