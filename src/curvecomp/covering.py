@@ -44,10 +44,6 @@ class CyclicCover:
         if self.b < 1:
             raise ValueError("branching order must be >= 1")
 
-    @property
-    def sheets(self) -> int:
-        return self.b
-
     def field(self) -> CycField:
         l = 4 * self.b // _gcd(4, self.b)
         return CycField(l)
@@ -170,10 +166,6 @@ class SymForm:
 # ---------------------------------------------------------------------------
 # scalar field shuttling
 # ---------------------------------------------------------------------------
-
-def _lift_mpoly(p: MPoly, field: CycField) -> MPoly:
-    return MPoly(p.nvars, [(e, field.embed_crat(c) if isinstance(c, CRat) else c)
-                           for e, c in p.terms.items()])
 
 def _lower_mpoly(p: MPoly) -> MPoly:
     items = []

@@ -20,8 +20,20 @@ whose consequence is m_P, m_Q < d0 unless d0 = m_P = m_Q = 1.  Every
 The quadric exclusion searches for a line meeting each non-quadric component
 in a single point (restriction a perfect power -- a rank-one condition on
 scaled binary-form coefficients) and passing through the two tangency points
-on the quadric.  The search solves the rank-one system by resultants and is
-supported for component degrees up to four.
+on the quadric.  It is supported for component degrees up to four.
+
+Three bivariate systems share one exact-first solver, ``_common_zeros``: two
+curves meeting, a curve and its partial derivatives (its singular points),
+and the rank-one minors of a total tangent line.  It eliminates the second
+variable by a resultant and takes the eliminant's squarefree factors and
+their roots, exact ones (small-denominator Gaussian rationals verified by
+substitution) before numeric ones.  Over an exact root the fibre is the
+squarefree part of the gcd of the two specialised polynomials, so a
+repeated fibre root is found once, and a linear fibre gives its root
+exactly; over a numeric root the fibre roots of the two polynomials that
+agree to 1e-12 are matched.  A point with a numeric coordinate is flagged
+inexact.  A numeric tangent line is accepted when every minor is below the
+absolute bound ``1e-10 (1 + |lam| + |mu|)^8`` in its chart coordinates.
 """
 
 from __future__ import annotations
@@ -30,12 +42,12 @@ import math
 import random
 from fractions import Fraction
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import mpmath as mp
 
 from .polys import (MPoly, Poly, biv_gcd, exact_roots, poly_gcd,
-                    poly_roots_numeric, resultant_bivariate,
-                    squarefree_decomposition)
+                    resultant_bivariate, squarefree_decomposition)
 from .scalars import CRat
 
 
@@ -83,14 +95,9 @@ class PlaneCurve:
     def _squarefree(self) -> bool:
         if self.degree <= 1:
             return True
-        for matrix in _change_schedule(seed=17):
-            p = self.poly.substitute_linear(matrix)
-            if p.substitute_value(2, CRat(0)).is_zero():
-                continue  # the new infinity line divides the curve; re-aim
-            a = p.substitute_value(2, CRat(1))
-            g = biv_gcd(biv_gcd(a, a.partial(0)), a.partial(1))
-            return g.total_degree() <= 0
-        raise DegenerateChangeError("no usable coordinate change found")
+        a, = _affine_chart([self.poly], seed=17)
+        g = biv_gcd(biv_gcd(a, a.partial(0)), a.partial(1))
+        return g.total_degree() <= 0
 
     def eval_exact(self, point):
         return self.poly.eval_exact(list(point))
@@ -151,15 +158,17 @@ class Configuration:
 
 
 def _coprime(p: MPoly, q: MPoly) -> bool:
-    for matrix in _change_schedule(seed=23):
-        pm = p.substitute_linear(matrix)
-        qm = q.substitute_linear(matrix)
-        if pm.substitute_value(2, CRat(0)).is_zero() or \
-                qm.substitute_value(2, CRat(0)).is_zero():
-            continue
-        g = biv_gcd(pm.substitute_value(2, CRat(1)),
-                    qm.substitute_value(2, CRat(1)))
-        return g.total_degree() <= 0
+    a, b = _affine_chart([p, q], seed=23)
+    return biv_gcd(a, b).total_degree() <= 0
+
+
+def _affine_chart(polys, seed: int):
+    """The forms polys in the first change of _change_schedule whose line
+    at infinity divides none of them, restricted to x2 = 1."""
+    for matrix in _change_schedule(seed=seed):
+        moved = [p.substitute_linear(matrix) for p in polys]
+        if not any(m.substitute_value(2, CRat(0)).is_zero() for m in moved):
+            return [m.substitute_value(2, CRat(1)) for m in moved]
     raise DegenerateChangeError("no usable coordinate change found")
 
 
@@ -295,17 +304,18 @@ def _intersections_in_chart(c1, c2, matrix):
         raise DegenerateChangeError(
             f"eliminant degree {res.degree} != {d1 * d2}")
     out = []
-    for factor, mult in squarefree_decomposition(res):
-        ex, nu = exact_roots(factor)
-        for alpha in ex:
-            v = _common_v_exact(a1, a2, alpha)
-            pt = ProjPoint.from_exact(_apply_matrix(matrix, (alpha, v, CRat(1))))
-            out.append((pt, mult))
-        for alpha in nu:
-            v = _common_v_numeric(a1, a2, alpha)
+    for u, vs, mult in _common_zeros(a1, a2, res):
+        if len(vs) != 1:
+            raise DegenerateChangeError(
+                "two intersections share an abscissa" if vs
+                else "eliminant root without a fiber point")
+        v = vs[0]
+        if isinstance(v, CRat):
+            pt = ProjPoint.from_exact(_apply_matrix(matrix, (u, v, CRat(1))))
+        else:
             pt = ProjPoint.from_numeric(
-                _apply_matrix_numeric(matrix, (complex(alpha), v, 1.0)))
-            out.append((pt, mult))
+                _apply_matrix_numeric(matrix, (complex(u), v, 1.0)))
+        out.append((pt, mult))
     total = sum(m for _, m in out)
     if total != d1 * d2:
         raise AssertionError(f"Bezout total {total} != {d1 * d2} (build bug)")
@@ -341,41 +351,56 @@ def _binary_resultant(f: MPoly, g: MPoly):
     return sylvester_det(fc, gc)
 
 
-def _specialize_u(a: MPoly, alpha: CRat) -> Poly:
-    return a.substitute_value(0, alpha).to_poly()
+def _common_zeros(f: MPoly, g: MPoly, eliminant: Poly):
+    """Affine common zeros of f and g, exact roots first.
+
+    eliminant is a nonzero resultant of f and g eliminating the second
+    variable.  For each of its distinct roots u, squarefree factor by factor
+    and exact roots before numeric ones, yields (u, vs, mult): mult is the
+    multiplicity of u in the eliminant and vs lists the distinct v with
+    f(u, v) = g(u, v) = 0.  An exact u (CRat) takes vs from the squarefree
+    part of gcd(f(u, .), g(u, .)): the exact root of a linear part, else its
+    exact_roots (CRat roots, then mpmath ones).  A numeric u (mpmath) takes
+    vs from _common_v_numeric, as complex numbers.
+    """
+    for factor, mult in squarefree_decomposition(eliminant):
+        exact, numeric = exact_roots(factor)
+        for u in exact:
+            fibre = poly_gcd(f.substitute_value(0, u).to_poly(),
+                             g.substitute_value(0, u).to_poly())
+            if fibre.degree > 1:
+                fibre = fibre.exact_div(poly_gcd(fibre, fibre.derivative()))
+            if fibre.degree < 1:
+                vs = []
+            elif fibre.degree == 1:
+                vs = [-fibre.coeffs[0] / fibre.coeffs[1]]
+            else:
+                ex, nu = exact_roots(fibre)
+                vs = ex + nu
+            yield u, vs, mult
+        for u in numeric:
+            yield u, _common_v_numeric(f, g, u), mult
 
 
-def _common_v_exact(a1, a2, alpha: CRat):
-    g = poly_gcd(_specialize_u(a1, alpha), _specialize_u(a2, alpha))
-    if g.degree < 1:
-        raise DegenerateChangeError("eliminant root without a fiber point")
-    sq = g.exact_div(poly_gcd(g, g.derivative())) if g.degree > 1 else g
-    if sq.degree != 1:
-        raise DegenerateChangeError("two intersections share an abscissa")
-    return -sq.coeffs[0] / sq.coeffs[1]
+def _common_v_numeric(a1, a2, alpha):
+    """The distinct roots v shared by a1(alpha, v) and a2(alpha, v).
 
-
-def _common_v_numeric(a1, a2, alpha, tol: float = 1e-22):
+    A root of each within 1e-12 counts as shared.  The closest such pair
+    gives the first v; a further pair gives another only when it lies more
+    than 1e-10 from every v kept.
+    """
     q1 = _poly_at_numeric(a1, alpha)
     q2 = _poly_at_numeric(a2, alpha)
     r1 = mp.polyroots(q1, maxsteps=200, extraprec=120) if len(q1) > 1 else []
     r2 = mp.polyroots(q2, maxsteps=200, extraprec=120) if len(q2) > 1 else []
-    best = None
-    for x in r1:
-        for y in r2:
-            d = abs(x - y)
-            if best is None or d < best[0]:
-                best = (d, x, y)
-    if best is None or best[0] > 1e-12:
-        raise DegenerateChangeError("no matching fiber root")
-    matches = [x for x in r1 for y in r2 if abs(x - y) <= 1e-12]
-    if len(matches) > 1:
-        for m1 in matches:
-            for m2 in matches:
-                if m1 is not m2 and abs(m1 - m2) > 1e-10:
-                    raise DegenerateChangeError(
-                        "two intersections share an abscissa")
-    return complex(best[1])
+    vs = []
+    for d, x in sorted(((abs(x - y), x) for x in r1 for y in r2),
+                       key=lambda dx: dx[0]):
+        if d > 1e-12:
+            break
+        if all(abs(x - v) > 1e-10 for v in vs):
+            vs.append(x)
+    return [complex(v) for v in vs]
 
 
 def _poly_at_numeric(a: MPoly, alpha):
@@ -406,28 +431,13 @@ def _bivariate_common_zero(f: MPoly, g: MPoly, witness: MPoly) -> bool:
 
 
 def _candidates_hit(f, g, witness, eliminant: Poly) -> bool:
-    for factor, _ in squarefree_decomposition(eliminant):
-        ex, nu = exact_roots(factor)
-        for alpha in ex:
-            gv = poly_gcd(_specialize_u(f, alpha), _specialize_u(g, alpha))
-            if gv.degree < 1:
-                continue
-            ex_beta, nu_beta = exact_roots(gv)
-            for beta in ex_beta:
-                if witness.eval_exact([alpha, beta]).is_zero():
+    for u, vs, _ in _common_zeros(f, g, eliminant):
+        for v in vs:
+            if isinstance(v, CRat):
+                if witness.eval_exact([u, v]).is_zero():
                     return True
-            for beta in nu_beta:
-                w = witness.eval_complex([complex(alpha.to_complex()),
-                                          complex(beta)])
-                if abs(w) < 1e-10:
-                    return True
-        for alpha in nu:
-            try:
-                beta = _common_v_numeric(f, g, alpha)
-            except DegenerateChangeError:
-                continue
-            w = witness.eval_complex([complex(alpha), beta])
-            if abs(w) < 1e-10:
+            elif abs(witness.eval_complex([_as_complex(u),
+                                           complex(v)])) < 1e-10:
                 return True
     return False
 
@@ -704,38 +714,18 @@ def total_tangent_lines(curve: PlaneCurve):
 
 def _solve_rank_one(minors):
     """Common zeros of the minor system, exact-first, fully verified."""
-    pairs = [(i, j) for i in range(len(minors)) for j in range(len(minors))
-             if i < j]
-    for i, j in pairs:
-        g1, g2 = minors[i], minors[j]
+    for g1, g2 in combinations(minors, 2):
         res = resultant_bivariate(g1, g2, elim=1)
         if res.is_zero():
             continue
         sols = []
-        for factor, _ in squarefree_decomposition(res):
-            exs, nus = exact_roots(factor)
-            for lam0 in exs:
-                q1, q2 = _specialize_u(g1, lam0), _specialize_u(g2, lam0)
-                g = poly_gcd(q1, q2) if (not q1.is_zero() and not q2.is_zero()) \
-                    else (q2 if q1.is_zero() else q1)
-                if g.degree < 1:
-                    continue
-                mu_ex, mu_nu = exact_roots(g)
-                for mu0 in mu_ex:
+        for lam0, mus, _ in _common_zeros(g1, g2, res):
+            for mu0 in mus:
+                if isinstance(mu0, CRat):
                     if all(m.eval_exact([lam0, mu0]).is_zero() for m in minors):
                         sols.append((lam0, mu0, True))
-                for mu0 in mu_nu:
-                    if _minors_small(minors, complex(lam0.to_complex()),
-                                     complex(mu0)):
-                        sols.append((complex(lam0.to_complex()),
-                                     complex(mu0), False))
-            for lam0 in nus:
-                try:
-                    mu0 = _common_v_numeric(g1, g2, lam0)
-                except DegenerateChangeError:
-                    continue
-                if _minors_small(minors, complex(lam0), mu0):
-                    sols.append((complex(lam0), mu0, False))
+                elif _minors_small(minors, _as_complex(lam0), complex(mu0)):
+                    sols.append((_as_complex(lam0), complex(mu0), False))
         return sols
     raise PlaneConfError("rank-one system degenerate in every direction")
 

@@ -61,9 +61,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
-
     def constant(self):
         return self.coeffs[0] if self.coeffs else CRat(0)
 

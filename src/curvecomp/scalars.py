@@ -72,9 +72,6 @@ class CRat:
     def is_zero(self) -> bool:
         return not self.re and not self.im
 
-    def is_rational(self) -> bool:
-        return not self.im
-
     # -- arithmetic ---------------------------------------------------------
     @staticmethod
     def _coerce(other):

@@ -189,6 +189,28 @@ class TestPlaneCli:
                              ["plane", "exclusion", "--config", str(conf)])
         assert code == 0 and doc["pass"] is False
 
+    def test_exclusion_on_singular_cubic(self, tmp_path):
+        # the rank-one fibre gcd of this cubic is -x^4, on which the numeric
+        # root finder does not converge without a squarefree split
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"curves": [
+            {"monomials": [
+                {"exponents": [0, 0, 3], "coeff": [1, 1]},
+                {"exponents": [0, 1, 2], "coeff": [2, 1]},
+                {"exponents": [0, 2, 1], "coeff": [-2, 1]},
+                {"exponents": [0, 3, 0], "coeff": [-2, 1]},
+                {"exponents": [1, 2, 0], "coeff": [-3, 1]}]},
+            {"monomials": [{"exponents": [2, 0, 0], "coeff": [1, 1]},
+                           {"exponents": [0, 2, 0], "coeff": [1, 1]},
+                           {"exponents": [0, 0, 2], "coeff": [-1, 1]}]},
+            {"monomials": [{"exponents": [1, 0, 0], "coeff": [1, 1]},
+                           {"exponents": [0, 1, 0], "coeff": [1, 1]},
+                           {"exponents": [0, 0, 1], "coeff": [1, 1]}]}]}))
+        code, doc = run_json(tmp_path, "ex.json",
+                             ["plane", "exclusion", "--config", str(conf)])
+        assert code == 0, doc
+        assert doc["pass"] is True and doc["candidates"] == 2
+
 
 class TestExpfunCli:
     def test_eval(self, tmp_path):

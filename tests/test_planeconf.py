@@ -254,6 +254,46 @@ class TestTotalTangents:
             total_tangent_lines(quintic)
 
 
+# a singular cubic whose rank-one fibre gcd is -x^4: without a squarefree
+# split the numeric root finder does not converge on it
+SINGULAR_CUBIC = curve([((0, 0, 3), 1), ((0, 1, 2), 2), ((0, 2, 1), -2),
+                        ((0, 3, 0), -2), ((1, 2, 0), -3)])
+
+
+class TestSingularCubic:
+    def test_total_tangent_lines_exact(self):
+        lines = total_tangent_lines(SINGULAR_CUBIC)
+        want = [((0, 1, 0), (1, 0, 0)),
+                ((1, Fraction(62, 81), Fraction(10, 9)),
+                 (1, Fraction(-81, 2), 27))]
+        assert len(lines) == 2 and all(t.exact for t in lines)
+        for dual, point in want:
+            line = TangentLine(tuple(CRat(c) for c in dual), pt(*point), True)
+            assert sum(t.same_line(line) and t.point.same_as(line.point)
+                       for t in lines) == 1
+        for t in lines:
+            # the curve restricted to the line is f(q) s^3 around the contact
+            # point p: f(p + s q) = f(q) s^3 at four values of s, with q the
+            # cross product of the dual and p, a second point on the line
+            p, l = t.point.coords, t.dual
+            q = (l[1] * p[2] - l[2] * p[1], l[2] * p[0] - l[0] * p[2],
+                 l[0] * p[1] - l[1] * p[0])
+            assert not ProjPoint.from_exact(q).same_as(t.point)
+            assert sum((a * b for a, b in zip(l, p)), CRat(0)).is_zero()
+            fq = SINGULAR_CUBIC.eval_exact(q)
+            for k in range(4):
+                at = [a + CRat(k) * b for a, b in zip(p, q)]
+                assert SINGULAR_CUBIC.eval_exact(at) == fq * CRat(k ** 3)
+
+    def test_quadric_exclusion_passes(self):
+        circle = curve([((2, 0, 0), 1), ((0, 2, 0), 1), ((0, 0, 2), -1)])
+        line = curve([((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 1)])
+        rep = quadric_line_exclusion(
+            Configuration([SINGULAR_CUBIC, circle, line]))
+        assert not rep.vacuous and rep.passed
+        assert rep.candidates == 2
+
+
 def _hexed(doc):
     if isinstance(doc, float):
         return doc.hex()
