@@ -168,13 +168,50 @@ def partition_classes(s: ExpSum):
     return [s.subset(idx) for _, idx in ordered]
 
 
+def _term_rows(cls: ExpSum):
+    """The class's terms realized once each, as exact integer rows.
+
+    A realized term is a sum of Gaussian-rational coefficients over the
+    coordinates (exponent polynomial, exponent constant, power of x), the
+    coordinates over which ExpPoly's canonical form adds.  Each row holds
+    the real or the imaginary part of one coordinate, one entry per term,
+    all scaled by a common denominator; a sub-collection realizes to zero
+    exactly when its entries sum to zero in every row.
+    """
+    vecs = []
+    for t in cls.terms:
+        vec = {}
+        for rec in cls.term_realized(t).terms:
+            for k, c in enumerate(rec.coeff.coeffs):
+                vec[(rec.expo, rec.expconst, k)] = c
+        vecs.append(vec)
+    keys = dict.fromkeys(key for vec in vecs for key in vec)
+    den = math.lcm(*(q.denominator for vec in vecs for c in vec.values()
+                     for q in (c.re, c.im)))
+    zero = CRat(0)
+    rows = []
+    for key in keys:
+        col = [vec.get(key, zero) for vec in vecs]
+        for row in (tuple(int(c.re * den) for c in col),
+                    tuple(int(c.im * den) for c in col)):
+            if any(row):
+                rows.append(row)
+    return rows
+
+
 def minimal_vanishing_subsets(s: ExpSum):
     """Inclusion-minimal vanishing sub-collections covering all terms.
 
     Works class by class (a minimal vanishing set can never straddle two
     rational classes: its class parts would vanish separately).  Within a
-    class the search is exhaustive by subset size, so classes are capped at
-    MAX_CLASS_TERMS terms.
+    class the search is greedy and exhaustive: the smallest vanishing
+    subset of the remaining terms, the lexicographically first among those
+    of that size, is taken out and the search repeats.  Each term is
+    realized once, as an exact integer vector (:func:`_term_rows`), so a
+    candidate costs a few integer sums instead of an ExpPoly build; every
+    subset returned is still verified by realizing it.  The enumeration is
+    exponential in the class size, so classes are capped at MAX_CLASS_TERMS
+    terms.
     """
     if not realize(s).is_zero():
         raise NotAnIdentityError("realized sum is not identically zero")
@@ -184,17 +221,26 @@ def minimal_vanishing_subsets(s: ExpSum):
             raise BorelError(
                 f"class with {len(cls.terms)} terms exceeds the search cap "
                 f"{MAX_CLASS_TERMS}")
+        rows = _term_rows(cls)
+
+        def vanishes(combo):
+            return not any(sum(map(row.__getitem__, combo)) for row in rows)
+
         remaining = list(range(len(cls.terms)))
         while remaining:
-            found = None
-            for size in range(1, len(remaining) + 1):
-                for combo in combinations(remaining, size):
-                    if realize(cls.subset(combo)).is_zero():
-                        found = combo
-                        break
-                if found:
-                    break
-            out.append(cls.subset(found))
+            found = next((combo for size in range(1, len(remaining) + 1)
+                          for combo in combinations(remaining, size)
+                          if vanishes(combo)), None)
+            if found is None:
+                raise AssertionError(
+                    "remaining terms of a vanishing class do not vanish "
+                    "(build bug)")
+            sub = cls.subset(found)
+            if not realize(sub).is_zero():
+                raise AssertionError(
+                    "vector test passed a subset that does not realize to "
+                    "zero (build bug)")
+            out.append(sub)
             remaining = [i for i in remaining if i not in found]
     return out
 

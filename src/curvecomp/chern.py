@@ -67,21 +67,82 @@ class CIData:
         return all(x == 1 for x in self.a)
 
 
-@dataclass(frozen=True)
 class LogChernReport:
-    euler_surface: int
-    euler_components: tuple
-    euler_C: int
-    gamma_sq: int
-    c1sq_minus_c2: int
-    det_estar_degree: int
-    pairwise_intersections: tuple
+    """Logarithmic Chern data of one surface-with-curve configuration.
 
-    def __post_init__(self):
+    Holds only the degree data, as ints in slots: A = prod a_i, a_sum =
+    sum a_i, r and the curve degrees b1, b2, b3.  Every invariant is a
+    property computed from them on access, so a report costs a fixed
+    handful of machine words however many invariants are read.  Building a
+    report checks the identity c1^2 - c2 = Gamma^2 - e(S) + e(C), which
+    holds for all degree data; a failure means the formulas are broken.
+    """
+
+    __slots__ = ("A", "a_sum", "r", "b1", "b2", "b3")
+
+    def __init__(self, A: int, a_sum: int, r: int, b1: int, b2: int,
+                 b3: int):
+        setter = object.__setattr__
+        setter(self, "A", A)
+        setter(self, "a_sum", a_sum)
+        setter(self, "r", r)
+        setter(self, "b1", b1)
+        setter(self, "b2", b2)
+        setter(self, "b3", b3)
         ident = self.gamma_sq - self.euler_surface + self.euler_C
         if ident != self.c1sq_minus_c2:
             raise AssertionError(
                 f"internal identity broken: {self.c1sq_minus_c2} != {ident}")
+
+    def __setattr__(self, *a):
+        raise AttributeError("LogChernReport is immutable")
+
+    def _data(self):
+        return (self.A, self.a_sum, self.r, self.b1, self.b2, self.b3)
+
+    def __eq__(self, other):
+        if not isinstance(other, LogChernReport):
+            return NotImplemented
+        return self._data() == other._data()
+
+    def __hash__(self):
+        return hash(self._data())
+
+    @property
+    def euler_surface(self) -> int:
+        return self.A * (2 + (self.a_sum - self.r - 1) ** 2)
+
+    @property
+    def euler_components(self) -> tuple:
+        A, b1, b2, b3 = self.A, self.b1, self.b2, self.b3
+        shift = 3 + self.r - self.a_sum
+        return (A * b1 * (shift - b1), A * b2 * (shift - b2),
+                A * b3 * (shift - b3))
+
+    @property
+    def pairwise_intersections(self) -> tuple:
+        A, b1, b2, b3 = self.A, self.b1, self.b2, self.b3
+        return (A * b1 * b2, A * b1 * b3, A * b2 * b3)
+
+    @property
+    def euler_C(self) -> int:
+        e1, e2, e3 = self.euler_components
+        p1, p2, p3 = self.pairwise_intersections
+        return e1 + e2 + e3 - p1 - p2 - p3
+
+    @property
+    def gamma_sq(self) -> int:
+        return self.A * self.det_estar_degree ** 2
+
+    @property
+    def c1sq_minus_c2(self) -> int:
+        b1, b2, b3 = self.b1, self.b2, self.b3
+        return self.A * ((self.a_sum - self.r - 3) * (b1 + b2 + b3 - 4) - 6
+                         + (b1 * b2 + b1 * b3 + b2 * b3))
+
+    @property
+    def det_estar_degree(self) -> int:
+        return self.a_sum + self.b1 + self.b2 + self.b3 - 3 - self.r
 
     def to_json(self):
         return {
@@ -122,40 +183,26 @@ class TheoremVerdict:
 
 def invariants(ci: CIData) -> LogChernReport:
     """All surface/curve invariants derived from the degree data, exactly."""
-    A, a, r = ci.A, ci.a_sum, ci.r
-    b1, b2, b3 = ci.b
-    b = ci.b_sum
-    e_surface = A * (2 + (a - r - 1) ** 2)
-    e_comp = tuple(A * bj * (3 + r - a - bj) for bj in ci.b)
-    pairwise = (A * b1 * b2, A * b1 * b3, A * b2 * b3)
-    e_C = sum(e_comp) - sum(pairwise)
-    gamma_sq = A * (a + b - r - 3) ** 2
-    c1sq_minus_c2 = A * ((a - r - 3) * (b - 4) - 6 + (b1 * b2 + b1 * b3 + b2 * b3))
-    det_deg = a + b - 3 - r
-    return LogChernReport(
-        euler_surface=e_surface,
-        euler_components=e_comp,
-        euler_C=e_C,
-        gamma_sq=gamma_sq,
-        c1sq_minus_c2=c1sq_minus_c2,
-        det_estar_degree=det_deg,
-        pairwise_intersections=pairwise,
-    )
+    return LogChernReport(ci.A, ci.a_sum, ci.r, *ci.b)
 
 
 def theorem_main_check(ci: CIData, pic_is_Z: bool) -> TheoremVerdict:
-    """Degeneracy criterion from the Chern-number and determinant conditions."""
-    a, r, b = ci.a_sum, ci.r, ci.b_sum
-    b1, b2, b3 = ci.b
-    cond_ii = (a - r - 3) * (b - 4) + (b1 * b2 + b1 * b3 + b2 * b3) > 6
-    cond_iii = a + b >= r + 3
+    """Degeneracy criterion from the Chern-number and determinant conditions.
+
+    Condition (ii) is c1^2 - c2 > 0; the report's value is A times
+    (a - r - 3)(b - 4) + sum b_i b_j - 6 with A >= 1, so its sign, and
+    whether it is zero, are those of the bracket.
+    """
+    rep = invariants(ci)
+    excess = rep.c1sq_minus_c2
     v = TheoremVerdict(condition_i_pic=bool(pic_is_Z),
-                       condition_ii=cond_ii, condition_iii=cond_iii)
-    if a + b == r + 3:
+                       condition_ii=excess > 0,
+                       condition_iii=rep.det_estar_degree >= 0)
+    if rep.det_estar_degree == 0:
         # determinant bundle has degree zero here; effectivity is only
         # guaranteed by triviality, so flag the edge rather than decide it
         v.notes.append("degree of det(E*) is zero: borderline effectivity")
-    if not cond_ii and (a - r - 3) * (b - 4) + (b1 * b2 + b1 * b3 + b2 * b3) == 6:
+    if excess == 0:
         v.notes.append("Chern-number criterion met with equality: borderline")
     return v
 

@@ -671,13 +671,19 @@ def _restrict_to_line(poly: MPoly, p1, p2, lift):
 def total_tangent_lines(curve: PlaneCurve):
     """All lines meeting the curve in a single point (full multiplicity).
 
-    Supported for degrees 2..4 (the rank-one system is solved by pairwise
+    Supported for degrees 3..4 (the rank-one system is solved by pairwise
     resultants with exact verification; candidates found only numerically
-    are kept and flagged inexact).
+    are kept and flagged inexact).  On a conic every tangent line is a
+    total tangent, a one-parameter family rather than a finite set, so
+    degree 2 is refused up front like degrees 1 and 5+.
     """
     d = curve.degree
     if d < 2:
         raise UnsupportedDegreeError("total tangency needs degree >= 2")
+    if d == 2:
+        raise UnsupportedDegreeError(
+            "every tangent line of a conic is a total tangent: the lines "
+            "form a one-parameter family (search supports degrees 3..4)")
     if d > 4:
         raise UnsupportedDegreeError(
             f"total-tangent search unsupported at degree {d} (cap 4)")

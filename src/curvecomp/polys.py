@@ -335,18 +335,32 @@ def resultant_univariate(f: Poly, g: Poly):
 
 
 def lagrange_interpolate(points) -> Poly:
-    """Exact interpolation through [(x_i, y_i)] with CRat nodes/values."""
-    out = Poly()
-    for i, (xi, yi) in enumerate(points):
-        num = Poly([1])
-        den = CRat(1)
-        for j, (xj, _) in enumerate(points):
-            if i == j:
-                continue
-            num = num * Poly([-xj, CRat(1)])
-            den = den * (xi - xj)
-        out = out + num.scale(yi * den.inverse())
-    return out
+    """Exact interpolant through [(x_i, y_i)] with distinct field nodes.
+
+    Newton form: the divided differences c_k = f[x_0, ..., x_k] take
+    O(n^2) field operations, and Horner's rule on
+    c_0 + (x - x_0)(c_1 + (x - x_1)(c_2 + ...)) expands them into
+    ascending coefficients in O(n^2) more.  The interpolant of degree < n
+    is unique, so the coefficients are exactly those of the Lagrange form.
+    """
+    if not points:
+        return Poly()
+    xs = [x for x, _ in points]
+    cs = [y for _, y in points]
+    n = len(xs)
+    for k in range(1, n):
+        for i in range(n - 1, k - 1, -1):
+            cs[i] = (cs[i] - cs[i - 1]) * (xs[i] - xs[i - k]).inverse()
+    out = [cs[-1]]
+    for k in range(n - 2, -1, -1):
+        xk = xs[k]
+        # out <- out * (x - x_k) + c_k
+        nxt = out + [out[-1]]
+        for i in range(len(out) - 1, 0, -1):
+            nxt[i] = out[i - 1] - xk * out[i]
+        nxt[0] = cs[k] - xk * out[0]
+        out = nxt
+    return Poly(out)
 
 
 # ---------------------------------------------------------------------------
@@ -797,9 +811,11 @@ class RatFunc:
 def resultant_bivariate(f: MPoly, g: MPoly, elim: int) -> Poly:
     """Resultant eliminating variable `elim`; returns Poly in the other one.
 
-    Works by specializing the kept variable at enough integer nodes, taking
-    exact Sylvester determinants with the *nominal* degrees, and Lagrange
-    interpolation.  Exact throughout.
+    Works by specializing the kept variable at the integer nodes
+    0, 1, -1, 2, -2, ... (one more than the degree bound), taking exact
+    Sylvester determinants with the *nominal* degrees, and interpolating
+    the values by :func:`lagrange_interpolate` (Newton form, O(n^2) field
+    operations in the node count).  Exact throughout.
     """
     if f.nvars != 2 or g.nvars != 2:
         raise ValueError("resultant_bivariate needs bivariate input")

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -208,6 +209,69 @@ class TestPipeline:
                      + [term(-21, 1, 0, 0, 1)], ETA, ETA)
         with pytest.raises(BorelError):
             minimal_vanishing_subsets(big)
+
+
+def _reference_subsets(s):
+    """Today's greedy order by brute force: realize every candidate.
+
+    Per rational class, the smallest vanishing subset of the remaining
+    terms, lexicographically first among those of its size, is taken out.
+    """
+    out = []
+    for cls in partition_classes(s):
+        remaining = list(range(len(cls.terms)))
+        while remaining:
+            found = next(
+                combo for size in range(1, len(remaining) + 1)
+                for combo in combinations(remaining, size)
+                if realize(cls.subset(combo)).is_zero())
+            out.append(cls.subset(found))
+            remaining = [i for i in remaining if i not in found]
+    return out
+
+
+def _planted_sum(rng, n):
+    """n terms in one or two rational classes whose sum vanishes.
+
+    With p1 = x and p2 = x^2 (M = 3) a term's prefactor is (2x)^(3-i), so
+    terms of one class land on up to four powers of x.  Each class is made
+    of zero-sum groups of two or three terms on one power, shuffled, so
+    many subsets vanish and several of them share a size.
+    """
+    M = 3
+    shapes = [(3, 0), (4, 1)][:rng.randint(1, 2)]   # (j + i, k - i) per class
+    terms = []
+    while len(terms) < n:
+        jsum, kshift = rng.choice(shapes)
+        i = rng.randint(0, M)
+        left = n - len(terms)
+        size = 3 if left == 3 or (left >= 5 and rng.random() < 0.5) else 2
+        cs = [Fraction(rng.choice([-2, -1, 1, 2, 3]), rng.choice([1, 2]))
+              for _ in range(size - 1)]
+        if sum(cs) == 0:
+            cs[0] += 1
+        cs.append(-sum(cs))
+        terms += [term(c, i, jsum - i, kshift + i, M) for c in cs]
+    rng.shuffle(terms)
+    return ExpSum(terms, XI, XI2, M)
+
+
+class TestGreedyOrder:
+    def test_matches_brute_force_on_planted_classes(self):
+        rng = random.Random(7)
+        for n in [6, 7, 8, 9, 10, 11, 12] * 3:
+            s = _planted_sum(rng, n)
+            got = minimal_vanishing_subsets(s)
+            want = _reference_subsets(s)
+            assert [x.terms for x in got] == [x.terms for x in want]
+
+    def test_ties_broken_lexicographically(self):
+        # distinct terms with equal realizations: the pairs (0, 1), (0, 3),
+        # (1, 2) and (2, 3) vanish; greedy takes (0, 1), then (2, 3)
+        tt = [term(1, 1, 0, 0, 1), term(-1, 1, 0, 0, 1),
+              term(1, 0, 0, 0, 1), term(-1, 0, 0, 0, 1)]
+        subs = minimal_vanishing_subsets(ExpSum(tt, ETA, ETA))
+        assert [x.terms for x in subs] == [tuple(tt[:2]), tuple(tt[2:])]
 
 
 class TestRandomInstances:

@@ -68,7 +68,7 @@ def test_internal_identity_exhaustive():
     bs = list(combinations_with_replacement(range(1, 11), 3))
     for a in surfaces:
         for b in bs:
-            rep = invariants(CIData(a, b))  # __post_init__ asserts the identity
+            rep = invariants(CIData(a, b))  # the constructor checks the identity
             assert rep.c1sq_minus_c2 == rep.gamma_sq - rep.euler_surface + rep.euler_C
 
 
@@ -136,3 +136,64 @@ def test_enumerate_quintic_generic():
     rows = enumerate_configs([5], 3, generic_NL=True)
     by_b = {(r["b1"], r["b2"], r["b3"]): r for r in rows}
     assert by_b[(1, 2, 2)]["case"] == "b"
+
+
+def _reference_json(a, b):
+    """The invariants as first computed: each formula from the degree data."""
+    A = 1
+    for x in a:
+        A *= x
+    a_sum, r = sum(a), len(a)
+    b1, b2, b3 = b
+    bs = b1 + b2 + b3
+    e_comp = [A * bj * (3 + r - a_sum - bj) for bj in b]
+    pairwise = [A * b1 * b2, A * b1 * b3, A * b2 * b3]
+    return {
+        "euler_surface": A * (2 + (a_sum - r - 1) ** 2),
+        "euler_components": e_comp,
+        "euler_C": sum(e_comp) - sum(pairwise),
+        "gamma_sq": A * (a_sum + bs - r - 3) ** 2,
+        "c1sq_minus_c2": A * ((a_sum - r - 3) * (bs - 4) - 6
+                              + (b1 * b2 + b1 * b3 + b2 * b3)),
+        "det_estar_degree": a_sum + bs - 3 - r,
+        "pairwise_intersections": pairwise,
+    }
+
+
+def test_report_json_matches_reference_grid():
+    surfaces = [(1,), (2,), (5,), (2, 2), (3, 4), (2, 3, 5)]
+    for a in surfaces:
+        for b in product(range(1, 8), repeat=3):
+            rep = invariants(CIData(a, b))
+            assert rep.to_json() == _reference_json(a, b), (a, b)
+
+
+def test_report_keeps_only_degree_data():
+    import gc
+    import tracemalloc
+
+    grid = [(a, b) for a in ((1,), (2,), (4,), (2, 3))
+            for b in product(range(1, 11), repeat=3)][:4000]
+    assert len(grid) == 4000
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        reps = [invariants(CIData(a, b)) for a, b in grid]
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(reps) == 4000
+    assert kept / 4000 <= 128, f"{kept / 4000:.1f} B per report"
+
+
+def test_theorem_conditions_follow_the_report():
+    for a in ((1,), (2,), (4,), (2, 2)):
+        for b in combinations_with_replacement(range(1, 7), 3):
+            ci = CIData(a, b)
+            rep, v = invariants(ci), theorem_main_check(ci, pic_is_Z=True)
+            assert v.condition_ii == (rep.c1sq_minus_c2 > 0)
+            assert v.condition_iii == (rep.det_estar_degree >= 0)
+            borderline = "Chern-number criterion met with equality: borderline"
+            assert (borderline in v.notes) == (rep.c1sq_minus_c2 == 0)

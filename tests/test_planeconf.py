@@ -253,6 +253,26 @@ class TestTotalTangents:
         with pytest.raises(UnsupportedDegreeError):
             total_tangent_lines(quintic)
 
+    def test_conic_refused_as_a_family(self):
+        # every tangent of a smooth conic is total, so there is no finite
+        # answer; the refusal must say so instead of blaming the solver
+        rng = random.Random(5)
+        expos = [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1),
+                 (0, 1, 1)]
+        smooth = 0
+        while smooth < 8:
+            cs = [rng.randint(-4, 4) for _ in expos]
+            a, b, c, d, e, f = (Fraction(x) for x in cs)
+            # symmetric matrix [[a, d/2, e/2], [d/2, b, f/2], [e/2, f/2, c]]
+            det = a * b * c + d * e * f / 4 - (a * f * f + b * e * e
+                                               + c * d * d) / 4
+            if det == 0:
+                continue
+            smooth += 1
+            conic = curve(list(zip(expos, cs)))
+            with pytest.raises(UnsupportedDegreeError, match="conic"):
+                total_tangent_lines(conic)
+
 
 # a singular cubic whose rank-one fibre gcd is -x^4: without a squarefree
 # split the numeric root finder does not converge on it

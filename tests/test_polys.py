@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvecomp.polys import (MPoly, Poly, RatFunc, biv_exact_div, biv_gcd,
                              det_field, exact_roots, lagrange_interpolate,
@@ -151,3 +153,59 @@ class TestBivariate:
         # at x=1: roots y=+-1 of g, f(1,y)=y+1 -> res = lc_g^1 * f-eval product
         assert r.eval_exact(CRat(1)).is_zero()  # y=-1 shared
         assert not r.eval_exact(CRat(2)).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# differential oracle: sympy over QQ<I>
+# ---------------------------------------------------------------------------
+
+_gauss = st.builds(lambda a, b, c, d: CRat(Fraction(a, b), Fraction(c, d)),
+                   st.integers(-6, 6), st.integers(1, 4),
+                   st.integers(-6, 6), st.integers(1, 4))
+_biv = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                       _gauss, min_size=1, max_size=6).map(
+    lambda terms: MPoly(2, terms))
+
+
+def _sym(sympy, c):
+    return sympy.Rational(c.re.numerator, c.re.denominator) + \
+        sympy.I * sympy.Rational(c.im.numerator, c.im.denominator)
+
+
+def _from_sym(sympy, expr, var):
+    """A sympy polynomial in var as a Poly with CRat coefficients."""
+    out = []
+    for c in reversed(sympy.Poly(expr, var).all_coeffs()):
+        re, im = sympy.re(c), sympy.im(c)
+        out.append(CRat(Fraction(int(re.p), int(re.q)),
+                        Fraction(int(im.p), int(im.q))))
+    return Poly(out)
+
+
+class TestSympyOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(_biv, _biv, st.sampled_from([0, 1]))
+    def test_resultant_bivariate(self, f, g, elim):
+        sympy = pytest.importorskip("sympy")
+        if f.degree_in(elim) < 1 or g.degree_in(elim) < 1:
+            return
+        xs = sympy.symbols("x0 x1")
+
+        def expr(p):
+            return sum((_sym(sympy, c) * xs[0] ** e[0] * xs[1] ** e[1]
+                        for e, c in p.terms.items()), sympy.Integer(0))
+
+        want = sympy.expand(sympy.resultant(expr(f), expr(g), xs[elim]))
+        got = resultant_bivariate(f, g, elim)
+        assert got == _from_sym(sympy, want, xs[1 - elim])
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(_gauss, min_size=1, max_size=9, unique=True),
+           st.lists(_gauss, min_size=9, max_size=9))
+    def test_lagrange_interpolate(self, nodes, values):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        pts = list(zip(nodes, values))
+        want = sympy.expand(sympy.interpolate(
+            [(_sym(sympy, a), _sym(sympy, b)) for a, b in pts], x))
+        assert lagrange_interpolate(pts) == _from_sym(sympy, want, x)
