@@ -18,6 +18,7 @@ three-section morphism reduces to it on smooth branch points.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -45,18 +46,11 @@ class CyclicCover:
             raise ValueError("branching order must be >= 1")
 
     def field(self) -> CycField:
-        l = 4 * self.b // _gcd(4, self.b)
-        return CycField(l)
+        return CycField(math.lcm(4, self.b))
 
     def zeta(self, k: int = 1) -> CycNum:
         f = self.field()
         return f.zeta((k % self.b) * (f.order // self.b))
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 PLAIN = "plain"
@@ -168,10 +162,7 @@ class SymForm:
 # ---------------------------------------------------------------------------
 
 def _lower_mpoly(p: MPoly) -> MPoly:
-    items = []
-    for e, c in p.terms.items():
-        items.append((e, c.to_crat() if isinstance(c, CycNum) else c))
-    return MPoly(p.nvars, items)
+    return MPoly(p.nvars, [(e, c.to_crat()) for e, c in p.terms.items()])
 
 
 def _try_lower(form: SymForm) -> SymForm:
@@ -184,13 +175,10 @@ def _try_lower(form: SymForm) -> SymForm:
         return form
 
 
-def _rot_mpoly(p: MPoly, zeta_k: CycNum, field: CycField) -> MPoly:
+def _rot_mpoly(p: MPoly, zeta_k: CycNum) -> MPoly:
     """Substitute x1 -> zeta^k * x1 (monomial-wise exact rotation)."""
-    items = []
-    for (e1, e2), c in p.terms.items():
-        cc = field.embed_crat(c) if isinstance(c, CRat) else c
-        items.append(((e1, e2), cc * zeta_k ** e1))
-    return MPoly(2, items)
+    return MPoly(2, [((e1, e2), zeta_k ** e1 * c)
+                     for (e1, e2), c in p.terms.items()])
 
 
 # ---------------------------------------------------------------------------
@@ -203,12 +191,11 @@ def deck_pullback(form: SymForm, k: int, cover: CyclicCover) -> SymForm:
         raise ValueError(f"deck index {k} outside [0, {cover.b})")
     if k == 0:
         return form
-    field = cover.field()
     zk = cover.zeta(k)
 
     def pull(c: RatFunc, weight: int) -> RatFunc:
-        num = _rot_mpoly(c.num, zk, field)
-        den = _rot_mpoly(c.den, zk, field)
+        num = _rot_mpoly(c.num, zk)
+        den = _rot_mpoly(c.den, zk)
         if weight:
             num = num.scale(zk ** weight)
         return RatFunc(num, den, reduce_now=False)
@@ -328,9 +315,7 @@ def annihilation_check(form: SymForm, g1: ExpPoly, g2: ExpPoly):
     def mp_on_curve(p: MPoly) -> ExpPoly:
         out = ExpPoly.zero()
         for (e1, e2), c in p.iter_sorted():
-            if isinstance(c, CycNum):
-                c = c.to_crat()
-            term = ExpPoly.constant(c)
+            term = ExpPoly.constant(c.to_crat())
             if e1:
                 term = term * g1 ** e1
             if e2:

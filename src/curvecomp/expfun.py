@@ -28,7 +28,7 @@ import math
 from fractions import Fraction
 
 from .polys import Poly, as_crat
-from .scalars import CRat
+from .scalars import CRat, power
 
 
 class EvalOverflowError(ArithmeticError):
@@ -177,13 +177,7 @@ class ExpPoly:
                         for t in self.terms])
 
     def __pow__(self, k: int):
-        out, base = ExpPoly.constant(1), self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, ExpPoly.constant(1))
 
     def differentiate(self) -> "ExpPoly":
         """Exact derivative: (q e^P)' = (q' + q P') e^P."""

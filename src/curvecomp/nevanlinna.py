@@ -457,14 +457,21 @@ def characteristic(curve: ProjCurve, r: float, tol: float = 1e-8) -> float:
     return val / (4.0 * math.pi)
 
 
+def _log_abs_on_circle(h: ExpPoly, r: float):
+    """theta -> log|h(r e^(i theta))|, -inf at an exact zero (a node where
+    it lands is retried nearby by integrate_periodic)."""
+
+    def log_abs(th):
+        v, s = h.eval_scaled(r * complex(math.cos(th), math.sin(th)))
+        return s + math.log(abs(v)) if v != 0 else float("-inf")
+    return log_abs
+
+
 def characteristic_scalar(g: ExpPoly, r: float, tol: float = 1e-8) -> float:
     """Classical scalar characteristic (1/2pi) int log+ |g|."""
     if r <= 0:
         raise ValueError("radius must be positive")
-
-    def log_abs(th):
-        v, s = g.eval_scaled(r * complex(math.cos(th), math.sin(th)))
-        return s + math.log(abs(v)) if v != 0 else float("-inf")
+    log_abs = _log_abs_on_circle(g, r)
 
     # the corners of log+ lie near the switching angles against the
     # constant 1, moved by the coefficients and the other terms
@@ -477,16 +484,7 @@ def characteristic_scalar(g: ExpPoly, r: float, tol: float = 1e-8) -> float:
 
 def circle_log_mean(h: ExpPoly, r: float, tol: float = 1e-8) -> float:
     """(1/2pi) int log|h| on the circle of radius r (dips are integrable)."""
-
-    def integrand(th):
-        v, s = h.eval_scaled(r * complex(math.cos(th), math.sin(th)))
-        if v == 0:
-            # exact zero at a node; integrate_periodic retries -inf nearby
-            return float("-inf")
-        m = s + math.log(abs(v))
-        return m
-
-    val, _ = integrate_periodic(integrand, tol * 2.0 * math.pi,
+    val, _ = integrate_periodic(_log_abs_on_circle(h, r), tol * 2.0 * math.pi,
                                 _switching_splits(h.compiled()[0], r))
     return val / (2.0 * math.pi)
 

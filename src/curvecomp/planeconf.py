@@ -231,11 +231,6 @@ class ProjPoint:
         return "(" + " : ".join(f"{c:.6g}" for c in self.coords) + ")"
 
 
-def _as_complex(c) -> complex:
-    """An exact scalar or a float/complex number as a complex."""
-    return c.to_complex() if hasattr(c, "to_complex") else complex(c)
-
-
 def _proportional(a, b, exact: bool, tol: float, scaled: bool = False):
     """Do the triples a and b span the same projective point?
 
@@ -246,8 +241,8 @@ def _proportional(a, b, exact: bool, tol: float, scaled: bool = False):
     pairs = ((0, 1), (0, 2), (1, 2))
     if exact:
         return all((a[i] * b[j] - a[j] * b[i]).is_zero() for i, j in pairs)
-    a = [_as_complex(c) for c in a]
-    b = [_as_complex(c) for c in b]
+    a = [complex(c) for c in a]
+    b = [complex(c) for c in b]
     if scaled:
         tol = tol * max(abs(x) for x in a) * max(abs(x) for x in b)
     return not any(abs(a[i] * b[j] - a[j] * b[i]) > tol for i, j in pairs)
@@ -325,7 +320,7 @@ def _intersections_in_chart(c1, c2, matrix):
 
 def _point_sort_key(pm):
     return tuple((round(c.real, 9), round(c.imag, 9))
-                 for c in map(_as_complex, pm[0].coords))
+                 for c in map(complex, pm[0].coords))
 
 
 def _apply_matrix(matrix, y):
@@ -436,7 +431,7 @@ def _candidates_hit(f, g, witness, eliminant: Poly) -> bool:
             if isinstance(v, CRat):
                 if witness.eval_exact([u, v]).is_zero():
                     return True
-            elif abs(witness.eval_complex([_as_complex(u),
+            elif abs(witness.eval_complex([complex(u),
                                            complex(v)])) < 1e-10:
                 return True
     return False
@@ -730,8 +725,8 @@ def _solve_rank_one(minors):
                 if isinstance(mu0, CRat):
                     if all(m.eval_exact([lam0, mu0]).is_zero() for m in minors):
                         sols.append((lam0, mu0, True))
-                elif _minors_small(minors, _as_complex(lam0), complex(mu0)):
-                    sols.append((_as_complex(lam0), complex(mu0), False))
+                elif _minors_small(minors, complex(lam0), complex(mu0)):
+                    sols.append((complex(lam0), complex(mu0), False))
         return sols
     raise PlaneConfError("rank-one system degenerate in every direction")
 
@@ -755,7 +750,7 @@ def _build_tangent_line(curve, dual_of, points_of, lam0, mu0, is_exact):
         def numeric(vec):
             # the chart entries are 0, 1, +-lamc or +-muc, so exact; + 0j
             # turns the -0.0 parts that negation leaves into 0.0
-            return tuple(_as_complex(c) + 0j for c in vec)
+            return tuple(complex(c) + 0j for c in vec)
 
         dual = numeric(dual_of(lamc, muc))
         p1, p2 = (numeric(p) for p in points_of(lamc, muc))
@@ -865,7 +860,7 @@ def _line_line_meet(tl: TangentLine, line_curve: PlaneCurve):
         if all(c.is_zero() for c in cross):
             return None
         return ProjPoint.from_exact(cross)
-    a = [_as_complex(c) for c in tl.dual]
+    a = [complex(c) for c in tl.dual]
     b = [c.to_complex() for c in lc]
     cross = (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
              a[0] * b[1] - a[1] * b[0])
@@ -887,8 +882,8 @@ def _check_quadric_condition(quadric: PlaneCurve, tline: TangentLine,
             return {"line": tline.to_json(), "P": p.to_json(),
                     "Q": q.to_json(), "exact": True}
         return None
-    pv = quadric.poly.eval_complex([_as_complex(c) for c in p.coords])
-    qv = quadric.poly.eval_complex([_as_complex(c) for c in q.coords])
+    pv = quadric.poly.eval_complex([complex(c) for c in p.coords])
+    qv = quadric.poly.eval_complex([complex(c) for c in q.coords])
     if abs(pv) < 1e-10 and abs(qv) < 1e-10:
         return {"line": tline.to_json(), "P": p.to_json(), "Q": q.to_json(),
                 "exact": False}

@@ -3,7 +3,11 @@
 ``Poly`` is a univariate polynomial with ascending coefficient tuple; the
 zero polynomial is the empty tuple.  ``MPoly`` is a sparse multivariate
 polynomial (monomial-exponent dict).  Both are generic over the scalars in
-:mod:`curvecomp.scalars` -- anything with ``+ - * inverse is_zero`` works.
+:mod:`curvecomp.scalars` and never ask which one they hold.  A scalar must
+provide ``+ - *`` and unary ``-`` (also with ``int`` and ``Fraction``),
+``inverse()``, ``is_zero()``, ``zero()`` and ``one()`` of its own field,
+``to_complex()``, ``==``, ``hash`` and ``sort_key()``.  Plain ``int`` and
+``Fraction`` inputs are read as ``CRat``.
 
 The heavier tools live at the bottom: univariate gcd and squarefree
 decomposition, Sylvester resultants (scalar and one-variable-eliminated via
@@ -18,15 +22,10 @@ from functools import reduce
 
 import mpmath as mp
 
-from .scalars import CRat, CycNum
+from .scalars import SCALAR_TYPES, CRat, power
 
-
-def _one_like(s):
-    if isinstance(s, CRat):
-        return CRat(1)
-    if isinstance(s, CycNum):
-        return s.field.one()
-    raise TypeError(f"unsupported scalar {type(s)}")
+# what Poly, MPoly and RatFunc multiply by as a scalar
+_SCALAR_LIKE = SCALAR_TYPES + (int, Fraction)
 
 
 def as_crat(x) -> CRat:
@@ -43,7 +42,7 @@ class Poly:
     __slots__ = ("coeffs", "_num")
 
     def __init__(self, coeffs=()):
-        cs = [c if isinstance(c, (CRat, CycNum)) else as_crat(c) for c in coeffs]
+        cs = [c if isinstance(c, SCALAR_TYPES) else as_crat(c) for c in coeffs]
         while cs and cs[-1].is_zero():
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -104,7 +103,7 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (CRat, CycNum, int, Fraction)):
+        if isinstance(other, _SCALAR_LIKE):
             return self.scale(other)
         if not isinstance(other, Poly):
             return NotImplemented
@@ -117,7 +116,7 @@ class Poly:
             for j, b in enumerate(other.coeffs):
                 p = a * b
                 out[i + j] = p if out[i + j] is None else out[i + j] + p
-        zero = self.coeffs[0] - self.coeffs[0]
+        zero = self.coeffs[0].zero()
         return Poly([zero if c is None else c for c in out])
 
     __rmul__ = __mul__
@@ -128,22 +127,7 @@ class Poly:
         return Poly([c * s for c in self.coeffs])
 
     def __pow__(self, k: int):
-        out, base = Poly([1]), self
-        if not self.coeffs:
-            return Poly() if k else out
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def shift(self, n: int) -> "Poly":
-        """Multiply by x^n."""
-        if not self.coeffs:
-            return self
-        zero = self.coeffs[0] - self.coeffs[0]
-        return Poly((zero,) * n + self.coeffs)
+        return power(self, k, Poly([1]))
 
     def derivative(self) -> "Poly":
         return Poly([c * k for k, c in enumerate(self.coeffs)][1:])
@@ -151,7 +135,7 @@ class Poly:
     def drop_constant(self) -> "Poly":
         if not self.coeffs:
             return self
-        zero = self.coeffs[0] - self.coeffs[0]
+        zero = self.coeffs[0].zero()
         return Poly((zero,) + self.coeffs[1:])
 
     def divmod(self, other: "Poly"):
@@ -167,7 +151,7 @@ class Poly:
             if not c.is_zero():
                 for j, bj in enumerate(other.coeffs):
                     rem[k + j] = rem[k + j] - c * bj
-        zero = other.lead() - other.lead()
+        zero = other.lead().zero()
         q = [zero if c is None else c for c in q]
         return Poly(q), Poly(rem[:db])
 
@@ -192,7 +176,7 @@ class Poly:
     # -- evaluation --------------------------------------------------------
     def eval_exact(self, x):
         if not self.coeffs:
-            return CRat(0) if not isinstance(x, CycNum) else x.field.zero()
+            return x.zero()
         out = self.coeffs[-1]
         for c in reversed(self.coeffs[:-1]):
             out = out * x + c
@@ -283,7 +267,7 @@ def det_field(rows):
     if n == 0:
         raise ValueError("empty matrix")
     m = [list(r) for r in rows]
-    one = _one_like(m[0][0])
+    one = m[0][0].one()
     det = one
     sign = 1
     for col in range(n):
@@ -293,7 +277,7 @@ def det_field(rows):
                 piv = r
                 break
         if piv is None:
-            return one - one
+            return one.zero()
         if piv != col:
             m[col], m[piv] = m[piv], m[col]
             sign = -sign
@@ -315,9 +299,9 @@ def sylvester_det(fc, gc):
     if df < 0 or dg < 0:
         raise ValueError("zero polynomial in resultant")
     if df == 0 and dg == 0:
-        return _one_like(fc[0])
+        return fc[0].one()
     n = df + dg
-    zero = fc[0] - fc[0]
+    zero = fc[0].zero()
     rows = []
     frow = list(reversed(fc))
     grow = list(reversed(gc))
@@ -379,7 +363,7 @@ class MPoly:
                 e = tuple(int(x) for x in e)
                 if len(e) != nvars:
                     raise ValueError("exponent arity mismatch")
-                c = c if isinstance(c, (CRat, CycNum)) else as_crat(c)
+                c = c if isinstance(c, SCALAR_TYPES) else as_crat(c)
                 if e in t:
                     c = t[e] + c
                 if c.is_zero():
@@ -449,7 +433,7 @@ class MPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (CRat, CycNum, int, Fraction)):
+        if isinstance(other, _SCALAR_LIKE):
             return self.scale(other)
         if not isinstance(other, MPoly):
             return NotImplemented
@@ -482,14 +466,7 @@ class MPoly:
         return out
 
     def __pow__(self, k: int):
-        out = MPoly.monomial(self.nvars, (0,) * self.nvars, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, MPoly.monomial(self.nvars, (0,) * self.nvars, 1))
 
     def partial(self, var: int) -> "MPoly":
         t = []
@@ -509,10 +486,7 @@ class MPoly:
                     v = v * (x ** k)
             out = v if out is None else out + v
         if out is None:
-            p0 = point[0] if point else CRat(0)
-            if isinstance(p0, CycNum):
-                return p0.field.zero()
-            return CRat(0)
+            return point[0].zero() if point else CRat(0)
         return out
 
     def eval_complex(self, point) -> complex:
@@ -578,6 +552,10 @@ class MPoly:
 
     @classmethod
     def from_json(cls, nvars, data):
+        for m in data:
+            if any(int(k) < 0 for k in m["exponents"]):
+                raise ValueError(f"negative exponent in monomial "
+                                 f"{list(m['exponents'])}")
         return cls(nvars, [(tuple(m["exponents"]), CRat.from_json(m["coeff"]))
                            for m in data])
 
@@ -599,7 +577,7 @@ def _biv_rec(p: MPoly):
     zero = None
     for (i, j), c in p.terms.items():
         out[i][j] = c
-        zero = c - c
+        zero = c.zero()
     recs = []
     for t in out:
         dd = max(t, default=-1)
@@ -731,7 +709,7 @@ class RatFunc:
             den = MPoly.monomial(num.nvars, (0,) * num.nvars, 1)
         # canonical: lex-leading denominator coefficient 1
         lead = den.terms[max(den.terms)]
-        if not (lead - _one_like(lead)).is_zero():
+        if lead != lead.one():
             inv = lead.inverse()
             num = num.scale(inv)
             den = den.scale(inv)
@@ -765,7 +743,7 @@ class RatFunc:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (CRat, CycNum, int, Fraction)):
+        if isinstance(other, _SCALAR_LIKE):
             return RatFunc(self.num.scale(other), self.den, reduce_now=False)
         if not isinstance(other, RatFunc):
             return NotImplemented

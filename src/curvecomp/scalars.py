@@ -13,9 +13,23 @@ Two scalar types are provided:
   embeds both i and the b-th roots of unity into one field, so arithmetic
   never leaves exact ground.
 
-Both types are immutable and hashable and expose the same small interface
-(`is_zero`, `inverse`, arithmetic operators, `to_complex`), so the generic
-polynomial layer in :mod:`curvecomp.polys` works over either.
+Both types are immutable and hashable and share one interface, so the
+polynomial layer in :mod:`curvecomp.polys` and the covering code never ask
+which of the two they hold:
+
+* ``+ - *`` and unary ``-``, mixed freely with ``int`` and ``Fraction``
+  (and, for ``CycNum``, with ``CRat``, which it embeds);
+* ``/`` and ``**``, where a negative exponent inverts first;
+* ``inverse()`` (``ZeroDivisionError`` on zero) and ``is_zero()``;
+* ``zero()`` and ``one()``, the units of the element's own field;
+* ``to_crat()``: the element as a ``CRat`` (``ValueError`` when it is not a
+  Gaussian rational; a ``CRat`` returns itself);
+* ``to_complex()`` and ``complex(x)``, the float value;
+* ``==``, ``hash`` and ``sort_key()``.
+
+``__rsub__``, ``__truediv__``, ``__rtruediv__`` and ``__pow__`` are one set
+of module-level functions bound in both class bodies; :func:`power` is the
+square-and-multiply routine behind ``**`` here and in the polynomial types.
 """
 
 from __future__ import annotations
@@ -33,6 +47,57 @@ def _frac(x) -> Fraction:
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"cannot build an exact rational from {x!r}")
+
+
+def power(x, k: int, one):
+    """x ** k for k >= 0 by square-and-multiply; `one` is x ** 0.
+
+    The one power loop of the package: the scalar fields and the
+    polynomial rings all call it.  A negative k raises ValueError; the
+    fields invert before they get here.
+    """
+    if k < 0:
+        raise ValueError(f"negative exponent {k}: {type(x).__name__} "
+                         f"has no inverses")
+    out = one
+    while k:
+        if k & 1:
+            out = out * x
+        k >>= 1
+        if k:
+            x = x * x
+    return out
+
+
+# The field operators CRat and CycNum share.  Each is bound by name in both
+# class bodies rather than inherited, so each class holds its own entry
+# (perfbench/tracer.py wraps the operators class by class).
+
+def _rsub(self, other):
+    o = self._coerce(other)
+    if o is None:
+        return NotImplemented
+    return o - self
+
+
+def _truediv(self, other):
+    o = self._coerce(other)
+    if o is None:
+        return NotImplemented
+    return self * o.inverse()
+
+
+def _rtruediv(self, other):
+    o = self._coerce(other)
+    if o is None:
+        return NotImplemented
+    return o * self.inverse()
+
+
+def _pow(self, k: int):
+    if k < 0:
+        return power(self.inverse(), -k, self.one())
+    return power(self, k, self.one())
 
 
 class CRat:
@@ -98,11 +163,7 @@ class CRat:
             return NotImplemented
         return CRat(self.re - o.re, self.im - o.im)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+    __rsub__ = _rsub
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -119,28 +180,15 @@ class CRat:
             raise ZeroDivisionError("inverse of zero CRat")
         return CRat(self.re / n, -self.im / n)
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
+    __truediv__ = _truediv
+    __rtruediv__ = _rtruediv
+    __pow__ = _pow
 
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
+    def zero(self) -> "CRat":
+        return CRat(0)
 
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out, base = CRat(1), self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+    def one(self) -> "CRat":
+        return CRat(1)
 
     # -- comparisons / hashing ----------------------------------------------
     def __eq__(self, other):
@@ -160,6 +208,12 @@ class CRat:
     def to_complex(self) -> complex:
         return complex(self.re) + 1j * complex(self.im)
 
+    def __complex__(self) -> complex:
+        return self.to_complex()
+
+    def to_crat(self) -> "CRat":
+        return self
+
     def __repr__(self):
         if not self.im:
             return f"CRat({self.re})"
@@ -174,15 +228,6 @@ class CRat:
         return f"{self.re}{sign}{abs(self.im)}*i"
 
 
-ZERO = CRat(0)
-ONE = CRat(1)
-I = CRat(0, 1)
-
-
-def crat(re, im=0) -> CRat:
-    return CRat(re, im)
-
-
 # ---------------------------------------------------------------------------
 # Cyclotomic field Q(zeta_L)
 # ---------------------------------------------------------------------------
@@ -190,32 +235,34 @@ def crat(re, im=0) -> CRat:
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> tuple:
     """Integer coefficients of the n-th cyclotomic polynomial, ascending."""
-    if n == 1:
-        return (-1, 1)
     # x^n - 1 divided by the product of Phi_d for proper divisors d
-    num = [0] * (n + 1)
-    num[0], num[n] = -1, 1
+    num = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
     for d in range(1, n):
         if n % d == 0:
-            num = _zx_div(num, list(cyclotomic_poly(d)))
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return tuple(num)
+            num, rem = _qx_divmod(num, [Fraction(c) for c in cyclotomic_poly(d)])
+            if any(rem):
+                raise ArithmeticError("non-exact polynomial division")
+    return tuple(int(c) for c in num)
 
 
-def _zx_div(num, den):
-    """Exact division of integer polynomial lists (ascending)."""
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for k in range(len(out) - 1, -1, -1):
-        c = num[k + len(den) - 1] // den[-1]
-        out[k] = c
+def _qx_divmod(a, b):
+    """Quotient and remainder of Q[x] lists (ascending, b[-1] nonzero).
+
+    The remainder has exactly len(b) - 1 entries, zero-padded.
+    """
+    a = list(a)
+    db, lb = len(b) - 1, b[-1]
+    if db < 0:
+        raise ZeroDivisionError("polynomial division by zero")
+    q = [Fraction(0)] * max(0, len(a) - db)
+    for k in range(len(a) - db - 1, -1, -1):
+        c = a[k + db] / lb
+        q[k] = c
         if c:
-            for j, dj in enumerate(den):
-                num[k + j] -= c * dj
-    if any(num[: len(den) - 1]):
-        raise ArithmeticError("non-exact polynomial division")
-    return out
+            for j in range(db + 1):
+                a[k + j] -= c * b[j]
+    rem = a[:db]
+    return q, rem + [Fraction(0)] * (db - len(rem))
 
 
 @lru_cache(maxsize=None)
@@ -271,7 +318,11 @@ class CycField:
         # polynomial remainder of x^k modulo Phi_L
         poly = [Fraction(0)] * (k + 1)
         poly[k] = Fraction(1)
-        return tuple(_qx_mod(poly, self.modulus, self.degree))
+        return tuple(self.reduce(poly))
+
+    def reduce(self, poly) -> list:
+        """The remainder of a Q[x] list modulo Phi_L, `degree` entries."""
+        return _qx_divmod(poly, self.modulus)[1]
 
     def zero(self) -> "CycNum":
         return self.element([])
@@ -297,21 +348,6 @@ class CycField:
         return f"CycField({self.order})"
 
 
-def _qx_mod(poly, modulus, degree):
-    poly = list(poly)
-    dm = len(modulus) - 1
-    lead = modulus[-1]
-    for k in range(len(poly) - 1, dm - 1, -1):
-        c = poly[k] / lead
-        if c:
-            for j in range(dm + 1):
-                poly[k - dm + j] -= c * modulus[j]
-        poly[k] = Fraction(0)
-    out = poly[:degree]
-    out += [Fraction(0)] * (degree - len(out))
-    return out
-
-
 class CycNum:
     """Element of Q(zeta_L): coefficient vector over the power basis."""
 
@@ -327,7 +363,7 @@ class CycNum:
     def is_zero(self) -> bool:
         return all(not c for c in self.vec)
 
-    def _check(self, other):
+    def _coerce(self, other):
         if isinstance(other, CycNum):
             if other.field is not self.field:
                 raise ValueError("mixed cyclotomic fields")
@@ -339,7 +375,7 @@ class CycNum:
         return None
 
     def __add__(self, other):
-        o = self._check(other)
+        o = self._coerce(other)
         if o is None:
             return NotImplemented
         return CycNum(self.field, tuple(a + b for a, b in zip(self.vec, o.vec)))
@@ -350,19 +386,15 @@ class CycNum:
         return CycNum(self.field, tuple(-a for a in self.vec))
 
     def __sub__(self, other):
-        o = self._check(other)
+        o = self._coerce(other)
         if o is None:
             return NotImplemented
         return self + (-o)
 
-    def __rsub__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+    __rsub__ = _rsub
 
     def __mul__(self, other):
-        o = self._check(other)
+        o = self._coerce(other)
         if o is None:
             return NotImplemented
         d = self.field.degree
@@ -373,7 +405,7 @@ class CycNum:
             for j, b in enumerate(o.vec):
                 if b:
                     prod[i + j] += a * b
-        return CycNum(self.field, tuple(_qx_mod(prod, self.field.modulus, d)))
+        return CycNum(self.field, tuple(self.field.reduce(prod)))
 
     __rmul__ = __mul__
 
@@ -381,53 +413,30 @@ class CycNum:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero CycNum")
         # extended Euclid in Q[x] against the cyclotomic modulus
-        a = list(self.vec)
-        m = list(self.field.modulus)
-        s0, s1 = [Fraction(1)], [Fraction(0)]
-        r0, r1 = a, m
-
-        def trim(p):
-            while p and not p[-1]:
-                p.pop()
-            return p
-
-        r0, r1 = trim(r0), trim(r1)
+        s0, s1 = [Fraction(1)], []
+        r0, r1 = _trim(list(self.vec)), _trim(list(self.field.modulus))
         while r1:
             q, r = _qx_divmod(r0, r1)
-            r0, r1 = r1, trim(r)
-            s0, s1 = s1, trim(_qx_sub(s0, _qx_mul(q, s1)))
+            r0, r1 = r1, _trim(r)
+            s0, s1 = s1, _trim(_qx_sub(s0, _qx_mul(q, s1)))
         if len(r0) != 1:
             raise ArithmeticError("element not invertible (unexpected)")
         inv_lead = 1 / r0[0]
         vec = [c * inv_lead for c in s0]
-        return CycNum(self.field,
-                      tuple(_qx_mod(vec, self.field.modulus, self.field.degree)))
+        return CycNum(self.field, tuple(self.field.reduce(vec)))
 
-    def __truediv__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
+    __truediv__ = _truediv
+    __rtruediv__ = _rtruediv
+    __pow__ = _pow
 
-    def __rtruediv__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
+    def zero(self) -> "CycNum":
+        return self.field.zero()
 
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out, base = self.field.one(), self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+    def one(self) -> "CycNum":
+        return self.field.one()
 
     def __eq__(self, other):
-        o = self._check(other)
+        o = self._coerce(other)
         if o is None:
             return NotImplemented
         return self.vec == o.vec
@@ -447,58 +456,41 @@ class CycNum:
                 z += complex(c) * complex(math.cos(ang), math.sin(ang))
         return z
 
+    def __complex__(self) -> complex:
+        return self.to_complex()
+
     def to_crat(self) -> CRat:
-        """Express the element in Q(i) if possible, else raise ValueError."""
-        # solve  self = a*1 + b*zeta^(L/4)  exactly over Q
+        """Express the element in Q(i) if possible, else raise ValueError.
+
+        With i = zeta^(L/4) in the field, self = a + b*i is read off one
+        coordinate j >= 1 where i's vector is nonzero (1 is the first basis
+        vector, so there b = vec[j] / i[j]), a = vec[0] - b*i[0], and the
+        candidate is checked by substitution.
+        """
+        vec = self.vec
         if self.field.order % 4:
-            if all(not c for c in self.vec[1:]):
-                return CRat(self.vec[0])
-            raise ValueError("element is not a Gaussian rational")
-        one = self.field.one().vec
+            if any(vec[1:]):
+                raise ValueError("element is not a Gaussian rational")
+            return CRat(vec[0])
         iu = self.field.i_unit().vec
-        n = self.field.degree
-        a = b = None
-        # the two basis vectors have disjoint-or-matching support; solve by
-        # Gaussian elimination on the 2-column system
-        rows = [(one[k], iu[k], self.vec[k]) for k in range(n)]
-        piv = [r for r in rows if r[0] or r[1]]
-        for r1 in piv:
-            for r2 in piv:
-                det = r1[0] * r2[1] - r1[1] * r2[0]
-                if det:
-                    a = (r1[2] * r2[1] - r1[1] * r2[2]) / det
-                    b = (r1[0] * r2[2] - r1[2] * r2[0]) / det
-                    break
-            if a is not None:
-                break
-        if a is None:  # rank-1 system
-            r = piv[0]
-            if r[0]:
-                a, b = r[2] / r[0], Fraction(0)
-            else:
-                a, b = Fraction(0), r[2] / r[1]
-        cand = self.field.element([a]) + self.field.element([b]) * self.field.i_unit()
-        if cand != self:
+        j = next(j for j in range(1, len(iu)) if iu[j])
+        b = vec[j] / iu[j]
+        cand = CRat(vec[0] - b * iu[0], b)
+        if self.field.embed_crat(cand) != self:
             raise ValueError("element is not a Gaussian rational")
-        return CRat(a, b)
+        return cand
 
     def __repr__(self):
         return f"CycNum(L={self.field.order}, {list(self.vec)})"
 
 
-def _qx_divmod(a, b):
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    if db < 0:
-        raise ZeroDivisionError
-    q = [Fraction(0)] * max(0, len(a) - db)
-    for k in range(len(a) - db - 1, -1, -1):
-        c = a[k + db] / lb
-        q[k] = c
-        if c:
-            for j in range(db + 1):
-                a[k + j] -= c * b[j]
-    return q, a[:db]
+SCALAR_TYPES = (CRat, CycNum)
+
+
+def _trim(p):
+    while p and not p[-1]:
+        p.pop()
+    return p
 
 
 def _qx_mul(a, b):
