@@ -178,13 +178,7 @@ def _term_rows(cls: ExpSum):
     all scaled by a common denominator; a sub-collection realizes to zero
     exactly when its entries sum to zero in every row.
     """
-    vecs = []
-    for t in cls.terms:
-        vec = {}
-        for rec in cls.term_realized(t).terms:
-            for k, c in enumerate(rec.coeff.coeffs):
-                vec[(rec.expo, rec.expconst, k)] = c
-        vecs.append(vec)
+    vecs = [cls.term_realized(t).coordinates() for t in cls.terms]
     keys = dict.fromkeys(key for vec in vecs for key in vec)
     den = math.lcm(*(q.denominator for vec in vecs for c in vec.values()
                      for q in (c.re, c.im)))

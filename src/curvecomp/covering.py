@@ -312,22 +312,14 @@ def annihilation_check(form: SymForm, g1: ExpPoly, g2: ExpPoly):
     pf = express_plain_basis(form)
     g1d, g2d = g1.differentiate(), g2.differentiate()
 
-    def mp_on_curve(p: MPoly) -> ExpPoly:
-        out = ExpPoly.zero()
-        for (e1, e2), c in p.iter_sorted():
-            term = ExpPoly.constant(c.to_crat())
-            if e1:
-                term = term * g1 ** e1
-            if e2:
-                term = term * g2 ** e2
-            out = out + term
-        return out
+    def lift(c):
+        return ExpPoly.constant(c.to_crat())
 
     dens_on = [None] * (pf.M + 1)
     for i, c in enumerate(pf.coeffs):
         if c.is_zero() or c.den.total_degree() == 0:
             continue  # canonical constant denominator is exactly 1
-        d = mp_on_curve(c.den)
+        d = c.den.eval((g1, g2), lift)
         if d.is_zero():
             raise CoveringError(
                 f"coefficient {i}: denominator vanishes identically on the curve")
@@ -339,7 +331,7 @@ def annihilation_check(form: SymForm, g1: ExpPoly, g2: ExpPoly):
     for i, c in enumerate(pf.coeffs):
         if c.is_zero():
             continue
-        piece = mp_on_curve(c.num) * (g1d ** i) * (g2d ** (pf.M - i))
+        piece = c.num.eval((g1, g2), lift) * g1d ** i * g2d ** (pf.M - i)
         for j, d in enumerate(dens_on):
             if d is not None and j != i:
                 piece = piece * d

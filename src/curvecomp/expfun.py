@@ -135,6 +135,16 @@ class ExpPoly:
                 out = out + t.coeff
         return out
 
+    def coordinates(self) -> dict:
+        """{(exponent P, exponent constant c, power k of x): coefficient}.
+
+        These are the coordinates in which the canonical form adds terms;
+        zero coefficients are left out.
+        """
+        return {(t.expo, t.expconst, k): c
+                for t in self.terms for k, c in enumerate(t.coeff.coeffs)
+                if not c.is_zero()}
+
     def __eq__(self, other):
         if not isinstance(other, ExpPoly):
             return NotImplemented

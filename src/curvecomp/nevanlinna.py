@@ -174,14 +174,7 @@ class HomDivisor:
         """The entire function P(f_0, ..., f_n)."""
         if self.poly.nvars != len(curve.components):
             raise ValueError("divisor arity does not match the curve")
-        out = ExpPoly.zero()
-        for e, c in self.poly.iter_sorted():
-            term = ExpPoly.constant(c)
-            for comp, k in zip(curve.components, e):
-                if k:
-                    term = term * comp ** k
-            out = out + term
-        return out
+        return self.poly.eval(curve.components, ExpPoly.constant)
 
     def to_json(self):
         return {"monomials": self.poly.to_json(), "degree": self.degree}
@@ -189,6 +182,8 @@ class HomDivisor:
     @classmethod
     def from_json(cls, data, nvars=None):
         mono = data["monomials"]
+        if not mono:
+            raise ValueError("divisor 'monomials' list is empty")
         if nvars is None:
             nvars = len(mono[0]["exponents"])
         return cls(MPoly.from_json(nvars, mono), data.get("degree"))
@@ -766,14 +761,8 @@ def _component_rank(components) -> int:
     basis = {}
     rows = []
     for comp in components:
-        row = {}
-        for t in comp.terms:
-            for k, c in enumerate(t.coeff.coeffs):
-                if not c.is_zero():
-                    key = (t.expo, t.expconst, k)
-                    col = basis.setdefault(key, len(basis))
-                    row[col] = c
-        rows.append(row)
+        rows.append({basis.setdefault(key, len(basis)): c
+                     for key, c in comp.coordinates().items()})
     pivots = {}
     rank = 0
     for row in rows:

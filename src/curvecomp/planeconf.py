@@ -100,7 +100,7 @@ class PlaneCurve:
         return g.total_degree() <= 0
 
     def eval_exact(self, point):
-        return self.poly.eval_exact(list(point))
+        return self.poly.eval(point)
 
     def is_smooth(self) -> bool:
         """No projective point where the curve and its gradient all vanish."""
@@ -304,12 +304,9 @@ def _intersections_in_chart(c1, c2, matrix):
             raise DegenerateChangeError(
                 "two intersections share an abscissa" if vs
                 else "eliminant root without a fiber point")
-        v = vs[0]
-        if isinstance(v, CRat):
-            pt = ProjPoint.from_exact(_apply_matrix(matrix, (u, v, CRat(1))))
-        else:
-            pt = ProjPoint.from_numeric(
-                _apply_matrix_numeric(matrix, (complex(u), v, 1.0)))
+        coords = _apply_matrix(matrix, (u, vs[0], CRat(1)))
+        pt = ProjPoint.from_exact(coords) if isinstance(vs[0], CRat) \
+            else ProjPoint.from_numeric(coords)
         out.append((pt, mult))
     total = sum(m for _, m in out)
     if total != d1 * d2:
@@ -324,13 +321,12 @@ def _point_sort_key(pm):
 
 
 def _apply_matrix(matrix, y):
-    return tuple(sum((matrix[i][j] * y[j] for j in range(3)), CRat(0))
-                 for i in range(3))
-
-
-def _apply_matrix_numeric(matrix, y):
-    return tuple(sum(matrix[i][j].to_complex() * complex(y[j])
-                     for j in range(3)) for i in range(3))
+    """matrix times the column y: exact when every y_j is a CRat, else in
+    complex numbers."""
+    if not all(isinstance(c, CRat) for c in y):
+        matrix = [[c.to_complex() for c in row] for row in matrix]
+        y = [complex(c) for c in y]
+    return tuple(sum(a * b for a, b in zip(row, y)) for row in matrix)
 
 
 def _binary_resultant(f: MPoly, g: MPoly):
@@ -401,13 +397,8 @@ def _common_v_numeric(a1, a2, alpha):
 def _poly_at_numeric(a: MPoly, alpha):
     with mp.workdps(50):
         al = mp.mpc(alpha)
-        cs = a.as_univariate(1)
-        vals = []
-        for c in cs:
-            v = mp.mpc(0)
-            for (e,), coeff in c.terms.items():
-                v += mp.mpc(str(coeff.re), str(coeff.im)) * al ** e
-            vals.append(v)
+        vals = [c.eval([al], lambda q: mp.mpc(str(q.re), str(q.im)))
+                for c in a.as_univariate(1)]
         while vals and abs(vals[-1]) < mp.mpf(10) ** (-40):
             vals.pop()
         return list(reversed(vals))
@@ -426,15 +417,16 @@ def _bivariate_common_zero(f: MPoly, g: MPoly, witness: MPoly) -> bool:
 
 
 def _candidates_hit(f, g, witness, eliminant: Poly) -> bool:
-    for u, vs, _ in _common_zeros(f, g, eliminant):
-        for v in vs:
-            if isinstance(v, CRat):
-                if witness.eval_exact([u, v]).is_zero():
-                    return True
-            elif abs(witness.eval_complex([complex(u),
-                                           complex(v)])) < 1e-10:
-                return True
-    return False
+    return any(_vanishes(witness, (u, v), isinstance(v, CRat), 1e-10)
+               for u, vs, _ in _common_zeros(f, g, eliminant) for v in vs)
+
+
+def _vanishes(poly: MPoly, coords, exact: bool, tol: float) -> bool:
+    """Is poly zero at coords: exactly, or else below tol in modulus with
+    coords and coefficients taken as complex numbers?"""
+    if exact:
+        return poly.eval(coords).is_zero()
+    return abs(poly.eval([complex(c) for c in coords], CRat.to_complex)) < tol
 
 
 # ---------------------------------------------------------------------------
@@ -471,16 +463,8 @@ def normal_crossings(conf: Configuration, seed: int = 0) -> CrossingsReport:
                 "transversal": worst == 1,
                 "worst_multiplicity": worst,
             })
-    triples = []
-    for (pt, _m) in points[(0, 1)]:
-        if pt.exact:
-            if conf.curves[2].eval_exact(pt.coords).is_zero():
-                triples.append(pt)
-        else:
-            val = conf.curves[2].poly.eval_complex(
-                [complex(c) for c in pt.coords])
-            if abs(val) < 1e-9:
-                triples.append(pt)
+    triples = [pt for pt, _m in points[(0, 1)]
+               if _vanishes(conf.curves[2].poly, pt.coords, pt.exact, 1e-9)]
     passed = all(smooth) and all(p["transversal"] for p in pairwise) \
         and not triples
     return CrossingsReport(passed, smooth, pairwise, triples)
@@ -722,19 +706,16 @@ def _solve_rank_one(minors):
         sols = []
         for lam0, mus, _ in _common_zeros(g1, g2, res):
             for mu0 in mus:
-                if isinstance(mu0, CRat):
-                    if all(m.eval_exact([lam0, mu0]).is_zero() for m in minors):
-                        sols.append((lam0, mu0, True))
-                elif _minors_small(minors, complex(lam0), complex(mu0)):
-                    sols.append((complex(lam0), complex(mu0), False))
+                exact = isinstance(mu0, CRat)
+                if exact:
+                    pt, tol = (lam0, mu0), 0.0
+                else:
+                    pt = (complex(lam0), complex(mu0))
+                    tol = 1e-10 * (1.0 + abs(pt[0]) + abs(pt[1])) ** 8
+                if all(_vanishes(m, pt, exact, tol) for m in minors):
+                    sols.append(pt + (exact,))
         return sols
     raise PlaneConfError("rank-one system degenerate in every direction")
-
-
-def _minors_small(minors, lam0, mu0, tol: float = 1e-10):
-    scale = 1.0 + abs(lam0) + abs(mu0)
-    return all(abs(m.eval_complex([lam0, mu0])) < tol * scale ** 8
-               for m in minors)
 
 
 def _build_tangent_line(curve, dual_of, points_of, lam0, mu0, is_exact):
@@ -850,20 +831,19 @@ def quadric_line_exclusion(conf: Configuration) -> ExclusionReport:
 
 
 def _line_line_meet(tl: TangentLine, line_curve: PlaneCurve):
-    lc = [CRat(0)] * 3
+    b = [CRat(0)] * 3
     for e, c in line_curve.poly.terms.items():
-        lc[e.index(1)] = c
+        b[e.index(1)] = c
+    a = tl.dual
+    if not tl.exact:
+        a = [complex(c) for c in a]
+        b = [c.to_complex() for c in b]
+    cross = (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+             a[0] * b[1] - a[1] * b[0])
     if tl.exact:
-        cross = (tl.dual[1] * lc[2] - tl.dual[2] * lc[1],
-                 tl.dual[2] * lc[0] - tl.dual[0] * lc[2],
-                 tl.dual[0] * lc[1] - tl.dual[1] * lc[0])
         if all(c.is_zero() for c in cross):
             return None
         return ProjPoint.from_exact(cross)
-    a = [complex(c) for c in tl.dual]
-    b = [c.to_complex() for c in lc]
-    cross = (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
-             a[0] * b[1] - a[1] * b[0])
     if max(abs(c) for c in cross) < 1e-12:
         return None
     return ProjPoint.from_numeric(cross)
@@ -876,15 +856,9 @@ def _check_quadric_condition(quadric: PlaneCurve, tline: TangentLine,
     p, q = tline.point, other_point
     if p.same_as(q):
         return None
-    if p.exact and q.exact and tline.exact:
-        if quadric.eval_exact(p.coords).is_zero() and \
-                quadric.eval_exact(q.coords).is_zero():
-            return {"line": tline.to_json(), "P": p.to_json(),
-                    "Q": q.to_json(), "exact": True}
-        return None
-    pv = quadric.poly.eval_complex([complex(c) for c in p.coords])
-    qv = quadric.poly.eval_complex([complex(c) for c in q.coords])
-    if abs(pv) < 1e-10 and abs(qv) < 1e-10:
+    exact = p.exact and q.exact and tline.exact
+    if _vanishes(quadric.poly, p.coords, exact, 1e-10) and \
+            _vanishes(quadric.poly, q.coords, exact, 1e-10):
         return {"line": tline.to_json(), "P": p.to_json(), "Q": q.to_json(),
-                "exact": False}
+                "exact": exact}
     return None

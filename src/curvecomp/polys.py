@@ -9,6 +9,13 @@ provide ``+ - *`` and unary ``-`` (also with ``int`` and ``Fraction``),
 ``to_complex()``, ``==``, ``hash`` and ``sort_key()``.  Plain ``int`` and
 ``Fraction`` inputs are read as ``CRat``.
 
+Evaluation is one routine per class, generic over the ring of the point:
+``Poly.eval`` (Horner) and ``MPoly.eval`` (a sum over the terms) take a
+``lift`` that maps an exact coefficient into that ring, so the same code
+evaluates at exact scalars, at complex or mpmath numbers, and substitutes
+MPoly, Poly or ExpPoly values.  Only ``Poly.eval_complex`` is kept apart: it
+caches the complex coefficients the compiled ExpPoly kernel reads.
+
 The heavier tools live at the bottom: univariate gcd and squarefree
 decomposition, Sylvester resultants (scalar and one-variable-eliminated via
 evaluation/interpolation), bivariate gcd by a primitive remainder sequence,
@@ -167,18 +174,18 @@ class Poly:
         inv = self.lead().inverse()
         return Poly([c * inv for c in self.coeffs])
 
-    def compose(self, other: "Poly") -> "Poly":
-        out = Poly()
-        for c in reversed(self.coeffs):
-            out = out * other + Poly([c])
-        return out
-
     # -- evaluation --------------------------------------------------------
-    def eval_exact(self, x):
-        if not self.coeffs:
-            return x.zero()
-        out = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
+    def eval(self, x, lift=None):
+        """The value at x by Horner's rule, in the ring of x.
+
+        lift maps an exact coefficient into that ring; None keeps it as it
+        is (x an exact scalar).  A Poly x gives the composition p(x).
+        """
+        cs = self.coeffs if lift is None else [lift(c) for c in self.coeffs]
+        if not cs:
+            return x.zero() if lift is None else lift(CRat(0))
+        out = cs[-1]
+        for c in reversed(cs[:-1]):
             out = out * x + c
         return out
 
@@ -477,26 +484,25 @@ class MPoly:
                 t.append((tuple(e2), c * e[var]))
         return MPoly(self.nvars, t)
 
-    def eval_exact(self, point):
+    def eval(self, point, lift=None):
+        """The value at point, the sum over the terms of lift(c) * x^e.
+
+        The entries of point may lie in any ring with + and * and integer
+        powers: exact scalars, complex or mpmath numbers, MPoly or ExpPoly
+        values.  lift maps an exact coefficient into that ring; None keeps
+        it as it is (an exact point).  Terms are summed in dict order.
+        """
         out = None
         for e, c in self.terms.items():
-            v = c
+            v = c if lift is None else lift(c)
             for x, k in zip(point, e):
                 if k:
-                    v = v * (x ** k)
+                    v = v * x ** k
             out = v if out is None else out + v
         if out is None:
+            if lift is not None:
+                return lift(CRat(0))
             return point[0].zero() if point else CRat(0)
-        return out
-
-    def eval_complex(self, point) -> complex:
-        out = 0j
-        for e, c in self.terms.items():
-            v = c.to_complex()
-            for x, k in zip(point, e):
-                if k:
-                    v *= x ** k
-            out += v
         return out
 
     def substitute_value(self, var: int, value) -> "MPoly":
@@ -515,18 +521,11 @@ class MPoly:
 
     def substitute_linear(self, matrix) -> "MPoly":
         """x_i -> sum_j matrix[i][j] * y_j, matrix of exact scalars."""
-        lin = [MPoly(self.nvars, [((0,) * j + (1,) + (0,) * (self.nvars - j - 1),
-                                   matrix[i][j])
-                                  for j in range(self.nvars)])
-               for i in range(self.nvars)]
-        out = MPoly(self.nvars)
-        for e, c in self.terms.items():
-            m = MPoly.monomial(self.nvars, (0,) * self.nvars, c)
-            for i, k in enumerate(e):
-                if k:
-                    m = m * lin[i] ** k
-            out = out + m
-        return out
+        n = self.nvars
+        lin = [MPoly(n, [((0,) * j + (1,) + (0,) * (n - j - 1), matrix[i][j])
+                         for j in range(n)])
+               for i in range(n)]
+        return self.eval(lin, lambda c: MPoly.monomial(n, (0,) * n, c))
 
     def as_univariate(self, var: int):
         """Coefficient list (ascending in `var`) of MPolys in the other vars."""
@@ -540,8 +539,8 @@ class MPoly:
     def to_poly(self) -> Poly:
         if self.nvars != 1:
             raise ValueError("to_poly needs a univariate MPoly")
-        d = self.degree_in(0)
-        cs = [CRat(0)] * (d + 1)
+        zero = next(iter(self.terms.values()), CRat(0)).zero()
+        cs = [zero] * (self.degree_in(0) + 1)
         for (e,), c in self.terms.items():
             cs[e] = c
         return Poly(cs)
@@ -676,8 +675,8 @@ def biv_exact_div(a: MPoly, b: MPoly) -> MPoly:
     dg = len(fb) - 1
     while _rec_trim(fa) and len(fa) - 1 >= dg:
         df = len(fa) - 1
-        q = fa[-1].exact_div(fb[-1]) if fa[-1].divmod(fb[-1])[1].is_zero() else None
-        if q is None:
+        q, r = fa[-1].divmod(fb[-1])
+        if not r.is_zero():
             raise ArithmeticError("non-exact bivariate division")
         out[df - dg] = q
         for j in range(dg + 1):
@@ -767,7 +766,7 @@ class RatFunc:
         return hash((self.num, self.den))
 
     def eval_complex(self, point) -> complex:
-        return self.num.eval_complex(point) / self.den.eval_complex(point)
+        return self.num.eval(point, complex) / self.den.eval(point, complex)
 
     def to_json(self):
         return {"num": self.num.to_json(), "den": self.den.to_json()}
@@ -813,8 +812,8 @@ def resultant_bivariate(f: MPoly, g: MPoly, elim: int) -> Poly:
         k += 1
     pts = []
     for u in nodes:
-        fu = [c.eval_exact([u]) for c in fc]
-        gu = [c.eval_exact([u]) for c in gc]
+        fu = [c.eval([u]) for c in fc]
+        gu = [c.eval([u]) for c in gc]
         pts.append((u, sylvester_det(fu, gu)))
     return lagrange_interpolate(pts)
 
@@ -869,7 +868,7 @@ def exact_roots(p: Poly, dps: int = 50, max_den: int = 10 ** 9):
         progress = False
         for z in poly_roots_numeric(q, dps=dps):
             cand = snap_to_crat(z, max_den)
-            if q.eval_exact(cand).is_zero():
+            if q.eval(cand).is_zero():
                 exact.append(cand)
                 q = q.exact_div(Poly([-cand, CRat(1)]))
                 progress = True

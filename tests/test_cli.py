@@ -267,6 +267,15 @@ class TestErrors:
             f"missing '{field}': give --{field} or put it in the --input "
             f"payload")
 
+    def test_empty_divisor_monomials_is_bad_input(self, tmp_path):
+        p = tmp_path / "in.json"
+        p.write_text(json.dumps({"curve": CURVE_EXP, "r": 2.0,
+                                 "divisor": {"monomials": []}}))
+        code, doc = run_json(tmp_path, "o.json",
+                             ["nev", "N", "--input", str(p)])
+        assert code == 1 and doc["error"]["type"] == "ValueError"
+        assert "'monomials'" in doc["error"]["message"]
+
     def test_payload_curve_needs_components(self, tmp_path):
         p = tmp_path / "in.json"
         p.write_text(json.dumps({"curve": {"comps": []}, "r": 2.0}))

@@ -86,6 +86,17 @@ class TestIsZero:
                 1 + abs(t1.evaluate(z)))
 
 
+class TestCoordinates:
+    def test_canonical_coordinates(self):
+        # (1 + 2x^2) e^x + 3 e^(x+1) + (5x - 3) e^(x+1): the cancelled
+        # constant of the second term is left out
+        f = ExpPoly([(poly(1, 0, 2), XI), (poly(3), poly(1, 1)),
+                     (poly(-3, 5), XI, CRat(1))])
+        assert f.coordinates() == {(XI, CRat(0), 0): CRat(1),
+                                   (XI, CRat(0), 2): CRat(2),
+                                   (XI, CRat(1), 1): CRat(5)}
+
+
 class TestSerialization:
     def test_roundtrip(self):
         f = ExpPoly([(poly(1, 2), XI2, cr(1, 2)), (poly(3), XI)])

@@ -101,7 +101,15 @@ class TestPoly:
     def test_compose(self):
         p = poly(1, 0, 1)      # x^2 + 1
         q = poly(0, 2)         # 2x
-        assert p.compose(q) == poly(1, 0, 4)
+        assert p.eval(q, lambda c: Poly([c])) == poly(1, 0, 4)
+
+    def test_to_poly_pads_in_the_coefficient_field(self):
+        f = CycField(12)
+        z = f.zeta(1)
+        p = MPoly(1, [((2,), z)]).to_poly()
+        assert all(c.field is f for c in p.coeffs)
+        assert len({p, Poly([f.zero(), f.zero(), z])}) == 1
+        assert MPoly(1).to_poly() == Poly()
 
 
 class TestDet:
@@ -125,6 +133,14 @@ class TestBivariate:
         g = biv_gcd(a, b)
         assert biv_exact_div(a, g).total_degree() == 1
         assert biv_exact_div(b, g).total_degree() == 2
+
+    def test_exact_div_rejects_a_remainder(self):
+        x, y, one = self.x, self.y, self.one
+        with pytest.raises(ArithmeticError):
+            biv_exact_div(x * y + one, x)       # remainder 1 after quotient y
+        with pytest.raises(ArithmeticError):
+            biv_exact_div(x * x + one, x * y)   # leading coefficients: 1 / y
+        assert biv_exact_div((x + y) * (x - y), x + y) == x - y
 
     def test_gcd_coprime(self):
         assert biv_gcd(self.x, self.y).total_degree() == 0
@@ -151,8 +167,8 @@ class TestBivariate:
         r = resultant_bivariate(f, g, elim=1)
         # res_y(xy + 1, y^2 - 1) = (x+1)(... ) check two values by hand:
         # at x=1: roots y=+-1 of g, f(1,y)=y+1 -> res = lc_g^1 * f-eval product
-        assert r.eval_exact(CRat(1)).is_zero()  # y=-1 shared
-        assert not r.eval_exact(CRat(2)).is_zero()
+        assert r.eval(CRat(1)).is_zero()  # y=-1 shared
+        assert not r.eval(CRat(2)).is_zero()
 
 
 # ---------------------------------------------------------------------------
