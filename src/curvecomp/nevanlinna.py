@@ -5,9 +5,16 @@ of log||f||^2 (the radial integration constant is dropped); the scalar
 characteristic is the classical log-plus average.  Counting functions come
 from the argument principle: integer winding numbers on a ladder of radii,
 with the radial integral done exactly on the resolved piecewise-constant
-count.  For entire functions with very many zeros a circle-mean variant is
-available (Jensen's identity: N(r) = m(r) - m(r0)); it computes the same
-quantity and is cross-checked against the winding ladder in the tests.
+count.  Each sweep of a circle evaluates h on its whole list of angles at
+once, bit-identical to evaluating it angle by angle, and a doubled
+resolution evaluates only the new angles.  Since the count does not
+decrease with the radius, the ladder is bisected from its two ends and a
+stretch whose end counts agree is filled without sweeping it.  For entire
+functions with very many zeros a circle-mean variant is available
+(Jensen's identity: N(r) = m(r) - m(r0)); it computes the same quantity and
+is cross-checked against the winding ladder in the tests.  The main
+theorem checks count each function once for all their radii, sharing the
+counts n(t) or the base mean m(r0).
 
 All radial normalizations use r0 = 1.  The paper bounds carry O(1) slack;
 every check here therefore fits one constant (or one a*log r + b line) per
@@ -23,8 +30,9 @@ import cmath
 import heapq
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import combinations, zip_longest
-from operator import mul
+from operator import add, mul
 
 from .expfun import ExpPoly, compile_terms, eval_exponents, scaled_sum
 from .polys import MPoly, Poly, det_field
@@ -488,67 +496,84 @@ def circle_log_mean(h: ExpPoly, r: float, tol: float = 1e-8) -> float:
 # winding numbers and counting functions
 # ---------------------------------------------------------------------------
 
-def _eval_unit(h: ExpPoly, z: complex):
-    """Scaled value and a cancellation reference at z, in one pass.
+def _circle_values(h: ExpPoly, radius: float, thetas) -> list:
+    """h's scaled values v at the angles thetas on the circle |z| = radius.
 
-    v is eval_scaled's v; ref sums |q_k(z)| exp(Re w_k - s) over all terms,
-    the size v would have without cancellation.
+    v is eval_scaled's v at z = radius e^(i theta).  The sweep runs column
+    by column: the Horner pass of each compiled exponent over all points,
+    then the scale s of every point, then each term's q, v and reference.
+    Every point sees the float operations of a one-point evaluation in the
+    same order, so the values are bit-identical to it.  The reference sums
+    |q_k(z)| exp(Re w_k - s) over the terms, the size v would have without
+    cancellation (Re w_k - s is never positive, s being the largest, or it
+    is NaN); where |v| is below 1e-12 of it, WindingError names the first
+    such angle.
     """
     expos, terms = h.compiled()
-    if not terms:
-        return 0j, 0.0
-    ws = eval_exponents(expos, z)
-    s = max([ws[i].real for _, _, i in terms])
-    v = 0j
-    ref = 0.0
+    zs = [radius * complex(math.cos(t), math.sin(t)) for t in thetas]
+    n = len(zs)
+    ws = []
+    for w, rest, c in expos:
+        col = [w] * n
+        if rest is not None:
+            for a in rest:
+                col = [x * z + a for x, z in zip(col, zs)]
+            col = [c + x for x in col]
+        ws.append(col)
+    vs = [0j] * n
+    refs = [0.0] * n
+    reals = [[w.real for w in ws[i]] for _, _, i in terms]
+    s = reals[0] if len(reals) == 1 else list(map(max, zip(*reals)))
     for q, rest, i in terms:
+        qs = [q] * n
         for a in rest:
-            q = q * z + a
-        e = ws[i] - s
-        if not e.real < -745.0:
-            v += q * cmath.exp(e)
-        ref += abs(q) * math.exp(min(e.real, 0.0))
-    return v, ref
+            qs = [x * z + a for x, z in zip(qs, zs)]
+        es = [w - sv for w, sv in zip(ws[i], s)]
+        vs = [v if e.real < -745.0 else v + x * cmath.exp(e)
+              for v, x, e in zip(vs, qs, es)]
+        refs = [ref + abs(x) * math.exp(e.real)
+                for ref, x, e in zip(refs, qs, es)]
+    small = [a <= 1e-12 * max(ref, 1e-300)
+             for a, ref in zip(map(abs, vs), refs)]
+    if True in small:
+        raise WindingError(f"near-zero on circle r={radius} "
+                           f"at theta={thetas[small.index(True)]}")
+    return vs
 
 
-def _winding_pass(h: ExpPoly, radius: float, n0: int, memo: dict,
+def _winding_pass(h: ExpPoly, radius: float, vals: list,
                   max_depth: int = 54):
     """One adaptive phase-continuation sweep; returns total phase / 2pi.
 
-    memo maps an angle to h's value there, shared by the sweeps of one
-    circle: the points of an n-grid recur bit for bit in the 2n-grid.
+    vals holds h's values at the angles 2pi k / n, k < n.  A step of more
+    than pi/2 in phase is bisected, each midpoint evaluated on its own.
+    The steps are added to one running total from the last to the first,
+    a bisected one depth first from its upper half.
     """
-
-    def val(theta):
-        v = memo.get(theta)
-        if v is None:
-            z = radius * complex(math.cos(theta), math.sin(theta))
-            v, ref = _eval_unit(h, z)
-            if abs(v) <= 1e-12 * max(ref, 1e-300):
-                raise WindingError(
-                    f"near-zero on circle r={radius} at theta={theta}")
-            memo[theta] = v
-        return v
-
+    n = len(vals)
+    half_pi = 0.5 * math.pi
+    ds = [cmath.phase(vb / va) for va, vb in zip(vals, vals[1:] + vals[:1])]
     total = 0.0
-    thetas = [2.0 * math.pi * k / n0 for k in range(n0 + 1)]
-    vals = [val(t) for t in thetas[:-1]]
-    vals.append(vals[0])
-    stack = list(zip(thetas[:-1], thetas[1:], vals[:-1], vals[1:],
-                     [0] * n0))
-    while stack:
-        a, b, va, vb, depth = stack.pop()
-        d = cmath.phase(vb / va)
-        if abs(d) <= 0.5 * math.pi:
-            total += d
-            continue
-        if depth >= max_depth:
-            raise WindingError(
-                f"phase jump unresolved at r={radius}; zero on the circle?")
-        mth = 0.5 * (a + b)
-        vm = val(mth)
-        stack.append((a, mth, va, vm, depth + 1))
-        stack.append((mth, b, vm, vb, depth + 1))
+    top = n
+    for k in [k for k, d in enumerate(ds) if not abs(d) <= half_pi][::-1]:
+        total = reduce(add, reversed(ds[k + 1:top]), total)
+        top = k
+        stack = [(2.0 * math.pi * k / n, 2.0 * math.pi * (k + 1) / n,
+                  vals[k], vals[(k + 1) % n], 0)]
+        while stack:
+            a, b, va, vb, depth = stack.pop()
+            d = cmath.phase(vb / va)
+            if abs(d) <= half_pi:
+                total += d
+                continue
+            if depth >= max_depth:
+                raise WindingError(f"phase jump unresolved at r={radius}; "
+                                   f"zero on the circle?")
+            mth = 0.5 * (a + b)
+            vm, = _circle_values(h, radius, [mth])
+            stack.append((a, mth, va, vm, depth + 1))
+            stack.append((mth, b, vm, vb, depth + 1))
+    total = reduce(add, reversed(ds[:top]), total)
     return total / (2.0 * math.pi)
 
 
@@ -556,13 +581,22 @@ def winding_number(h: ExpPoly, radius: float, n0: int = 256) -> int:
     """Zeros of h inside the circle, by verified phase continuation.
 
     Two consecutive sweep resolutions must agree; a result further than 0.1
-    from an integer is an error.
+    from an integer is an error.  The grid of angles 2pi k / n is swept
+    once: each doubling of n evaluates only the new odd-index angles, the
+    even ones recurring bit for bit.
     """
     prev = None
     n = n0
-    memo = {}
+    vals = None
     while n <= (1 << 17):
-        w = _winding_pass(h, radius, n, memo)
+        if vals is None:
+            vals = _circle_values(
+                h, radius, [2.0 * math.pi * k / n for k in range(n)])
+        else:
+            odd = _circle_values(
+                h, radius, [2.0 * math.pi * k / n for k in range(1, n, 2)])
+            vals = [v for pair in zip(vals, odd) for v in pair]
+        w = _winding_pass(h, radius, vals)
         k = round(w)
         if abs(w - k) > 0.1:
             raise WindingError(
@@ -591,25 +625,70 @@ def zero_count(h: ExpPoly, t: float) -> int:
 def counting(curve: ProjCurve, divisor: HomDivisor, r: float,
              tol: float = 1e-3, method: str = "winding") -> float:
     """N_f(D, r): radially integrated zero count of the composed function."""
+    return counting_entire(_pullback(curve, divisor), r, tol=tol,
+                           method=method)
+
+
+def _pullback(curve: ProjCurve, divisor: HomDivisor) -> ExpPoly:
+    """The entire function whose zeros are f*D; it must not vanish."""
     h = divisor.compose(curve)
     if h.is_zero():
         raise DegenerateCurveError("divisor pulls back to zero on the curve")
-    return counting_entire(h, r, tol=tol, method=method)
+    return h
 
 
 def counting_entire(h: ExpPoly, r: float, tol: float = 1e-3,
                     method: str = "winding") -> float:
+    """N(r) = int_R0^r n(t) dt / t for the zeros of h (0 for r <= R0).
+
+    tol bounds the error of the radial integral; see _counting_radii.
+    """
+    return _counting_radii(h, [r], tol, method)[0]
+
+
+def _counting_radii(h: ExpPoly, radii, tol: float = 1e-3,
+                    method: str = "winding") -> list:
+    """N(r) of h at each of the radii, in one pass that shares their work.
+
+    circle-mean takes N(r) = m(r) - m(R0), m the circle mean of log|h|,
+    with the base mean m(R0) integrated once.  winding shares one memo of
+    the counts n(t) between the radii (see _ladder_counting).
+    """
     if h.is_zero():
         raise DegenerateCurveError("cannot count zeros of the zero function")
-    if r <= R0:
-        return 0.0
-    if method == "circle-mean":
-        return (circle_log_mean(h, r, tol=tol * 0.25)
-                - circle_log_mean(h, R0, tol=tol * 0.25))
-    if method != "winding":
+    for name, x in [("r", r) for r in radii] + [("tol", tol)]:
+        if not (x > 0 and math.isfinite(x)):
+            raise ValueError(
+                f"{name} must be a positive finite number, got {x!r}")
+    if method not in ("winding", "circle-mean"):
         raise ValueError(f"unknown counting method {method!r}")
-
+    out = []
+    base = None
     counts = {}
+    for r in radii:
+        if r <= R0:
+            out.append(0.0)
+        elif method == "circle-mean":
+            mean = circle_log_mean(h, r, tol=tol * 0.25)
+            if base is None:
+                base = circle_log_mean(h, R0, tol=tol * 0.25)
+            out.append(mean - base)
+        else:
+            out.append(_ladder_counting(h, r, tol, counts))
+    return out
+
+
+def _ladder_counting(h: ExpPoly, r: float, tol: float, counts: dict):
+    """N(r) from the integer counts n(t) on a refined ladder of radii.
+
+    counts memoizes t -> n(t).  The ladder runs geometrically from R0 to r
+    with about four rungs per doubling.  Since n(t) does not decrease in t,
+    its two ends are counted first and the rungs are bisected by index: a
+    stretch whose end counts agree takes that count without a sweep.  The
+    integral of the resolved step function is exact up to the segments
+    still holding a jump; those are halved, the costliest first, until
+    their total width in log t times the jump is below tol.
+    """
 
     def n_at(t):
         if t not in counts:
@@ -618,6 +697,16 @@ def counting_entire(h: ExpPoly, r: float, tol: float = 1e-3,
 
     k = max(4, int(math.ceil(4 * math.log(r / R0, 2))))
     ladder = [R0 * (r / R0) ** (i / k) for i in range(k + 1)]
+    spans = [(0, k)]
+    while spans:
+        i, j = spans.pop()
+        ni = n_at(ladder[i])
+        if ni == n_at(ladder[j]):
+            for t in ladder[i + 1:j]:
+                counts.setdefault(t, ni)
+        elif j - i > 1:
+            m = (i + j) // 2
+            spans += [(m, j), (i, m)]
     segs = []
     for lo, hi in zip(ladder[:-1], ladder[1:]):
         jump = n_at(hi) - n_at(lo)
@@ -742,7 +831,7 @@ def fmt_check(curve: ProjCurve, divisor: HomDivisor, radii,
     """
     radii = sorted(float(r) for r in radii)
     d = divisor.degree
-    ns = [counting(curve, divisor, r, method=n_method) for r in radii]
+    ns = _counting_radii(_pullback(curve, divisor), radii, method=n_method)
     ts = [d * characteristic(curve, r) for r in radii]
     excess = [n - t for n, t in zip(ns, ts)]
     # the bound is one-sided; calibrate the constant at the smallest radius
@@ -837,7 +926,8 @@ def smt_check(curve: ProjCurve, hyperplanes, radii,
     if _component_rank(curve.components) < n + 1:
         raise DegenerateCurveError("curve is linearly degenerate")
     return _smt_report(curve, radii, q - n - 1, hyperplanes,
-                       lambda h, r: counting(curve, h, r, method=n_method),
+                       lambda h, rs: _counting_radii(_pullback(curve, h), rs,
+                                                     method=n_method),
                        resid_tol)
 
 
@@ -869,15 +959,16 @@ def smt_defect_on_sum_relation(components, radii,
                 f"a relation omits component {j}: minimality fails")
     radii = sorted(float(r) for r in radii)
     return _smt_report(ProjCurve(comps), radii, 1, comps,
-                       lambda c, r: counting_entire(c, r, method=n_method),
+                       lambda c, rs: _counting_radii(c, rs, method=n_method),
                        resid_tol)
 
 
 def _smt_report(curve, radii, weight, targets, count, resid_tol):
-    """delta(r) = weight T(r) - sum_j count(targets[j], r), fitted against
-    a log r + b; the residual is taken relative to the largest T."""
+    """delta(r) = weight T(r) - sum_j N_j(r), fitted against a log r + b;
+    count(targets[j], radii) gives N_j at all radii.  The residual is taken
+    relative to the largest T."""
     ts = [characteristic(curve, r) for r in radii]
-    ns = [[count(x, r) for r in radii] for x in targets]
+    ns = [count(x, radii) for x in targets]
     delta = [weight * t - sum(col[i] for col in ns)
              for i, t in enumerate(ts)]
     a, b, rms = fit_linear([math.log(r) for r in radii], delta)

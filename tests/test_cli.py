@@ -276,6 +276,25 @@ class TestErrors:
         assert code == 1 and doc["error"]["type"] == "ValueError"
         assert "'monomials'" in doc["error"]["message"]
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--r", "-3"), ("--r", "0"), ("--r", "inf"), ("--r", "nan"),
+        ("--tol", "nan"), ("--tol", "-0.001"),
+    ])
+    def test_nev_N_needs_positive_finite_input(self, tmp_path, curve_file,
+                                               flag, value):
+        d = tmp_path / "d.json"
+        d.write_text(json.dumps({"monomials": [
+            {"exponents": [1, 0], "coeff": [-1, 1, 0, 1]},
+            {"exponents": [0, 1], "coeff": [1, 1, 0, 1]}]}))
+        opts = {"--r": "2", "--tol": "1e-3", flag: value}
+        argv = ["nev", "N", "--curve", curve_file, "--divisor", str(d)]
+        code, doc = run_json(tmp_path, "o.json",
+                             argv + [x for kv in opts.items() for x in kv])
+        assert code == 1 and doc["error"]["type"] == "ValueError"
+        name = flag[2:]
+        assert doc["error"]["message"] == (
+            f"{name} must be a positive finite number, got {float(value)!r}")
+
     def test_payload_curve_needs_components(self, tmp_path):
         p = tmp_path / "in.json"
         p.write_text(json.dumps({"curve": {"comps": []}, "r": 2.0}))

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from curvecomp.expfun import ExpPoly
-from curvecomp.nevanlinna import ProjCurve, _eval_unit
+from curvecomp.nevanlinna import ProjCurve, WindingError, _circle_values
 from curvecomp.polys import Poly
 
 from conftest import XI, XI2, cr, exp_of, poly
@@ -40,6 +40,8 @@ def ref_eval_scaled(f, z):
 
 
 def ref_eval_unit(f, z):
+    """(v, ref): the scaled value and the size it would have without
+    cancellation, sum_k |q_k(z)| exp(min(Re w_k - s, 0))."""
     v, s = ref_eval_scaled(f, z)
     ref = 0.0
     for t in f.terms:
@@ -84,6 +86,34 @@ def points(seed, n=40):
     return pts
 
 
+def grids(seed, count=16):
+    """Seeded circles out to radius 40, each with its list of angles:
+    the uniform grid 2 pi k / n or n random angles."""
+    rng = random.Random(seed)
+    out = [(1.0, [0.0]), (40.0, [2.0 * math.pi * k / 16 for k in range(16)])]
+    for _ in range(count):
+        r = math.exp(rng.uniform(math.log(0.01), math.log(40.0)))
+        n = rng.randint(1, 48)
+        if rng.random() < 0.5:
+            thetas = [2.0 * math.pi * k / n for k in range(n)]
+        else:
+            thetas = [rng.uniform(0.0, 2 * math.pi) for _ in range(n)]
+        out.append((r, thetas))
+    return out
+
+
+def ref_circle_values(f, radius, thetas):
+    """The values at thetas by ref_eval_unit, up to the first angle where
+    |v| <= 1e-12 ref (the winding sweep's near-zero test), and that angle."""
+    vals = []
+    for t in thetas:
+        v, ref = ref_eval_unit(f, radius * complex(math.cos(t), math.sin(t)))
+        if abs(v) <= 1e-12 * max(ref, 1e-300):
+            return vals, t
+        vals.append(v)
+    return vals, None
+
+
 ONE = ExpPoly.constant(1)
 E_XI = exp_of(XI)
 E_XI2 = exp_of(XI2)
@@ -120,9 +150,31 @@ def test_eval_scaled_matches_reference(name):
 
 @pytest.mark.parametrize("name", sorted(FUNCTIONS))
 def test_eval_unit_matches_reference(name):
+    """The batched circle sweep, angle by angle against ref_eval_unit."""
     f = FUNCTIONS[name]
-    for z in points(seed=100 + len(name)):
-        assert_identical(_eval_unit(f, z), ref_eval_unit(f, z))
+    for radius, thetas in grids(seed=100 + len(name)):
+        want, bad = ref_circle_values(f, radius, thetas)
+        if bad is None:
+            assert_identical(tuple(_circle_values(f, radius, thetas)),
+                             tuple(want))
+        else:
+            with pytest.raises(WindingError) as exc:
+                _circle_values(f, radius, thetas)
+            assert str(exc.value) == (
+                f"near-zero on circle r={radius} at theta={bad}")
+
+
+def test_near_zero_names_first_failing_angle():
+    # e^z + 1 vanishes at z = +-i pi, the angles pi/2 and 3pi/2 of the
+    # circle of radius pi, both on the 8-point grid; the two terms cancel
+    h = E_XI + ONE
+    thetas = [2.0 * math.pi * k / 8 for k in range(8)]
+    for first, sweep in ((thetas[2], thetas), (thetas[6], thetas[3:])):
+        assert ref_circle_values(h, math.pi, sweep)[1] == first
+        with pytest.raises(WindingError) as exc:
+            _circle_values(h, math.pi, sweep)
+        assert str(exc.value) == (
+            f"near-zero on circle r={math.pi} at theta={first}")
 
 
 @pytest.mark.parametrize("name", sorted(CURVES))
@@ -134,7 +186,9 @@ def test_log_norm_sq_matches_reference(name):
 
 def test_cases_are_exercised():
     assert ZERO.is_zero() and ZERO.eval_scaled(2.0) == (0j, 0.0)
-    assert _eval_unit(ZERO, 2.0) == (0j, 0.0)
+    assert ref_eval_unit(ZERO, 2.0) == (0j, 0.0)
+    with pytest.raises(WindingError, match=r"at theta=0\.5$"):
+        _circle_values(ZERO, 2.0, [0.5, 1.0])
     assert all(t.expo.is_zero() for t in TAGGED.terms + POLY_PART.terms)
     v, s = UNDERFLOW.eval_scaled(40.0)
     assert s == 1600.0 and v == 1.0

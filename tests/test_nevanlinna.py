@@ -204,18 +204,19 @@ class TestCounting:
 
     def test_winding_sweeps_share_evaluations(self, monkeypatch):
         calls = [0]
-        inner = nevanlinna._eval_unit
+        inner = nevanlinna._circle_values
 
-        def counted(h, z):
-            calls[0] += 1
-            return inner(h, z)
+        def counted(h, radius, thetas):
+            calls[0] += len(thetas)
+            return inner(h, radius, thetas)
 
-        monkeypatch.setattr(nevanlinna, "_eval_unit", counted)
+        monkeypatch.setattr(nevanlinna, "_circle_values", counted)
         n = counting_entire(E_XI - ONE, 10.0)
-        # the integer counts, hence N, are those of independent sweeps,
-        # which evaluate h 18,436 times on this ladder
+        # the integer counts, hence N, are those of independent sweeps on
+        # every rung, which evaluate h 18,436 times on this ladder (12,290
+        # with the sweeps of one circle sharing their grid points)
         assert n.hex() == "0x1.9daf20080c499p+1"
-        assert calls[0] <= 12290
+        assert calls[0] <= 7684
 
     def test_monotone(self):
         f = curve(ONE, E_XI)
@@ -226,6 +227,160 @@ class TestCounting:
     def test_divisor_containing_curve_rejected(self):
         with pytest.raises(DegenerateCurveError):
             counting(curve(ONE, ONE), hyper(-1, 1), 5.0)
+
+
+def planted(*roots):
+    """The monic polynomial with the given roots, as an ExpPoly."""
+    p = poly(1)
+    for a in roots:
+        p = p * Poly([-a, CRat(1)])
+    return ExpPoly.from_poly(p)
+
+
+def count_zero_counts(monkeypatch):
+    """The radii t of the zero_count calls, in call order."""
+    ts = []
+    inner = nevanlinna.zero_count
+
+    def counted(h, t):
+        ts.append(t)
+        return inner(h, t)
+
+    monkeypatch.setattr(nevanlinna, "zero_count", counted)
+    return ts
+
+
+H = Fraction(1, 2)
+# (h, r, N as float.hex, zero_count calls).  N was recorded before the
+# sweeps of a circle were batched and the ladder filled by monotonicity;
+# the ladders then took 5, 13, 24, 49 and 31 zero_count calls.
+COUNTING_PINS = {
+    "cubic_inner": (planted(cr(H), cr(0, Fraction(3, 5)),
+                            cr(Fraction(-7, 10), Fraction(1, 10))),
+                    1.8, "0x1.c36b8f8456aa4p+0", 2),
+    "cubic_annulus": (planted(cr(H), cr(0, Fraction(4, 5)),
+                              cr(Fraction(-5, 4), Fraction(1, 4))),
+                      1.8, "0x1.8555cf2758944p+0", 12),
+    "exp_r10": (E_XI - ONE, 10.0, "0x1.9daf20080c499p+1", 15),
+    "exp_r20": (E_XI - ONE, 20.0, "0x1.96fe3cae7fb75p+2", 39),
+    "exp_z2_r4": (E_XI2 - ONE, 4.0, "0x1.48029f3e20de5p+2", 28),
+}
+# fmt_check of [1 : e^z] against z_1 = 3 z_0 at radii 1.5, 2, 3 (the zero
+# log 3 lies in the annulus), recorded as above; 41 zero_count calls then
+FMT_PIN = {
+    "radii": ["0x1.8000000000000p+0", "0x1.0000000000000p+1",
+              "0x1.8000000000000p+1"],
+    "counting": ["0x1.3f19ddc344052p-2", "0x1.32e412f3da1dbp-1",
+                 "0x1.01275c04f7a48p+0"],
+    "d_times_T": ["0x1.25cff7157c6fdp-1", "0x1.6a4b0c423062ep-1",
+                  "0x1.001a5f526dc35p+0"],
+    "fitted_C": "-0x1.0c861067b4da8p-2",
+    "max_violation": "0x1.f87a0b9e368acp-3",
+    "defect": "-0x1.0ce0ff91da300p-8",
+    "pass": False,
+}
+
+
+def hexed(doc):
+    """doc with every float written as float.hex."""
+    if isinstance(doc, float):
+        return doc.hex()
+    if isinstance(doc, dict):
+        return {k: hexed(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [hexed(v) for v in doc]
+    return doc
+
+
+class TestCountingPins:
+    @pytest.mark.parametrize("name", sorted(COUNTING_PINS))
+    def test_counts_bit_identical(self, monkeypatch, name):
+        h, r, want, calls = COUNTING_PINS[name]
+        ts = count_zero_counts(monkeypatch)
+        assert counting_entire(h, r).hex() == want
+        assert len(ts) == len(set(ts)) == calls
+
+    def test_fmt_report_bit_identical(self, monkeypatch):
+        ts = count_zero_counts(monkeypatch)
+        rep = fmt_check(curve(ONE, E_XI), hyper(-3, 1), [1.5, 2.0, 3.0])
+        assert hexed(rep.to_json()) == FMT_PIN
+        # the three ladders share one memo of counts, so n(R0) once
+        assert len(ts) == len(set(ts)) == 33
+        assert ts.count(1.0) == 1
+
+    def test_ladder_ends_first(self, monkeypatch):
+        # every root inside the unit circle: n(R0) = n(r) fills the ladder
+        h, r, _, _ = COUNTING_PINS["cubic_inner"]
+        ts = count_zero_counts(monkeypatch)
+        counting_entire(h, r)
+        assert ts == [1.0, r]
+
+
+class TestSharedRadii:
+    """Several radii of one function share the base circle or the counts."""
+
+    FMT = (curve(ONE, E_XI), hyper(-3, 1), [1.5, 2.0, 3.0])
+
+    def test_fmt_circle_mean_integrates_base_once(self, monkeypatch):
+        f, d, radii = self.FMT
+        h = d.compose(f)
+        calls = count_evaluations(monkeypatch)
+        fmt_check(f, d, radii, n_method="circle-mean")
+        total = calls[0]
+        calls[0] = 0
+        for r in radii:
+            characteristic(f, r)
+            circle_log_mean(h, r, tol=0.25e-3)
+        circle_log_mean(h, 1.0, tol=0.25e-3)
+        assert total == calls[0]
+
+    def test_sum_relation_base_circle_per_summand(self, monkeypatch):
+        radii = []
+        inner = nevanlinna.circle_log_mean
+
+        def counted(h, r, tol=1e-8):
+            radii.append(r)
+            return inner(h, r, tol)
+
+        monkeypatch.setattr(nevanlinna, "circle_log_mean", counted)
+        smt_defect_on_sum_relation([E_XI, E_XI2, -(E_XI + E_XI2)],
+                                   [2, 4, 6, 8], n_method="circle-mean")
+        assert radii.count(1.0) == 3 and len(radii) == 3 * 5
+
+    def test_smt_winding_counts_base_once_per_hyperplane(self, monkeypatch):
+        ts = count_zero_counts(monkeypatch)
+        smt_check(curve(ONE, E_XI), [hyper(1, 0), hyper(0, 1), hyper(1, -1)],
+                  [2, 3])
+        # the pullbacks e^z, 1 and 1 - e^z: each counts n(R0) once for
+        # both radii, and n(2) = n(3) = n(R0) fills both ladders
+        assert ts == [1.0, 2.0, 3.0] * 3
+
+
+class TestCountingInputs:
+    @pytest.mark.parametrize("r", [-3.0, 0.0, float("inf"), float("nan")])
+    def test_radius_must_be_positive_finite(self, r):
+        with pytest.raises(ValueError, match="^r must be a positive finite"):
+            counting_entire(E_XI - ONE, r)
+
+    @pytest.mark.parametrize("tol", [-1e-3, 0.0, float("inf"), float("nan")])
+    def test_tol_must_be_positive_finite(self, tol):
+        for method in ("winding", "circle-mean"):
+            with pytest.raises(ValueError,
+                               match="^tol must be a positive finite"):
+                counting_entire(E_XI - ONE, 5.0, tol=tol, method=method)
+
+    def test_unit_disk_counts_nothing(self):
+        assert counting_entire(E_XI - ONE, 1.0) == 0.0
+        assert counting_entire(E_XI - ONE, 0.5) == 0.0
+
+    def test_method_checked_at_every_radius(self):
+        for r in (0.5, 5.0):
+            with pytest.raises(ValueError, match="unknown counting method"):
+                counting_entire(E_XI - ONE, r, method="jensen")
+
+    def test_fmt_radius_checked(self):
+        with pytest.raises(ValueError, match="^r must be a positive finite"):
+            fmt_check(curve(ONE, E_XI), hyper(-1, 1), [2.0, float("nan")])
 
 
 class TestOrderEstimate:
@@ -318,15 +473,6 @@ class TestSmt:
         """Both SMT checks' reports, floats by hex as first recorded
         (tests/golden/nevanlinna/smt_reports.json, written before the two
         checks shared one T / N / delta / fit tail)."""
-        def hexed(doc):
-            if isinstance(doc, float):
-                return doc.hex()
-            if isinstance(doc, dict):
-                return {k: hexed(v) for k, v in doc.items()}
-            if isinstance(doc, list):
-                return [hexed(v) for v in doc]
-            return doc
-
         want = json.loads((Path(__file__).resolve().parent / "golden"
                            / "nevanlinna" / "smt_reports.json").read_text())
         rep = smt_check(curve(ONE, E_XI),
