@@ -18,7 +18,10 @@ linearly independent over the algebraic numbers, a canonical ExpPoly is the
 zero function iff it has no terms; ``is_zero`` is therefore an exact
 syntactic check.
 
-All values are immutable; operations are pure functions.
+All values are immutable; operations are pure functions.  Numeric values
+come from one column kernel, :func:`eval_columns`, which evaluates the
+compiled terms of one or several ExpPolys on a whole list of points at
+once; :meth:`ExpPoly.eval_scaled` is that kernel at one point.
 """
 
 from __future__ import annotations
@@ -210,12 +213,12 @@ class ExpPoly:
 
         The scale s is the largest real part among the term exponents, so v
         never overflows; this is the evaluation every growth functional
-        uses (only log|f| or arg f is ever needed).
+        uses (only log|f| or arg f is ever needed).  It is
+        :func:`eval_columns` at the one point z.
         """
         expos, terms = self.compiled()
-        if not terms:
-            return 0j, 0.0
-        return scaled_sum(terms, eval_exponents(expos, z), z)
+        (v,), (s,) = eval_columns(expos, (terms,), [z])[0]
+        return v, s
 
     def evaluate(self, z: complex) -> complex:
         """Plain complex value; raises EvalOverflowError out of float range."""
@@ -259,10 +262,12 @@ class ExpPoly:
 
 
 # -- numeric kernel ----------------------------------------------------------
-# Evaluation at a point reads only plain complex data compiled once from the
-# exact terms.  Every float operation is the one Poly.eval_complex and
+# Evaluation reads only plain complex data compiled once from the exact terms,
+# and one routine, eval_columns, evaluates it on a list of points: a single
+# point is a batch of one, and a circle sweep or a quadrature refinement is
+# one call.  Every float operation is the one Poly.eval_complex and
 # CRat.to_complex would perform, in the same order, so values are bit-identical
-# to evaluating the exact terms directly.
+# to evaluating the exact terms directly, whatever the batch.
 
 def _horner_data(p: Poly):
     """(lead, rest): p(z) is lead folded by out = out * z + c over rest."""
@@ -273,7 +278,7 @@ def _horner_data(p: Poly):
 
 
 def _compile_exponent(expo: Poly, expconst: CRat):
-    """(w, rest, c): the exponent c + P(z) in the form eval_exponents reads.
+    """(w, rest, c): the exponent c + P(z) in the form eval_columns reads.
 
     A constant P leaves the whole exponent c + P in w, with rest None.
     """
@@ -285,7 +290,7 @@ def _compile_exponent(expo: Poly, expconst: CRat):
 
 
 def compile_terms(polys):
-    """Complex data for evaluating several ExpPolys at one point.
+    """Complex data for evaluating several ExpPolys at the same points.
 
     Returns (expos, terms): each distinct (expo, expconst) pair of the polys
     once in expos, and per poly a tuple of (coeff lead, coeff rest, index
@@ -308,34 +313,48 @@ def compile_terms(polys):
     return tuple(expos), tuple(out)
 
 
-def eval_exponents(expos, z: complex) -> list:
-    """The value c + P(z) of every compiled exponent at z."""
+def eval_columns(expos, comps, zs, refs: bool = False) -> list:
+    """Each component of comps evaluated at every point of zs, by columns.
+
+    expos and comps are the data of :func:`compile_terms`.  Returns per
+    component the columns (vs, ss) with f(z) = v * exp(s) at each point, s
+    the largest real part of the component's exponents there (v = 0, s = 0
+    for a component with no terms); with refs, also the column of
+    sum_k |q_k(z)| exp(Re w_k - s), the size v would have without
+    cancellation.  Terms more than 745 below s underflow to zero and are
+    skipped in v.  The work runs column by column: the Horner pass of each
+    exponent over all points, then each component's scale, then each
+    term's coefficient and value.  Every point sees the float operations
+    of a one-point evaluation in the same order, so a value does not
+    depend on the other points of the batch.
+    """
+    n = len(zs)
     ws = []
     for w, rest, c in expos:
+        col = [w] * n
         if rest is not None:
             for a in rest:
-                w = w * z + a
-            w = c + w
-        ws.append(w)
-    return ws
-
-
-def scaled_sum(terms, ws, z: complex):
-    """(v, s) with sum_k q_k(z) exp(w_k) = v * exp(s) for nonempty terms.
-
-    s is the largest real part of the terms' exponents; terms more than 745
-    below it underflow to zero and are skipped.
-    """
-    s = max([ws[i].real for _, _, i in terms])
-    v = 0j
-    for q, rest, i in terms:
-        e = ws[i] - s
-        if e.real < -745.0:
-            continue
-        for a in rest:
-            q = q * z + a
-        v += q * cmath.exp(e)
-    return v, s
+                col = [x * z + a for x, z in zip(col, zs)]
+            col = [c + x for x in col]
+        ws.append(col)
+    out = []
+    for terms in comps:
+        vs = [0j] * n
+        rs = [0.0] * n
+        reals = [[w.real for w in ws[i]] for _, _, i in terms] or [[0.0] * n]
+        ss = reals[0] if len(reals) == 1 else list(map(max, zip(*reals)))
+        for q, rest, i in terms:
+            qs = [q] * n
+            for a in rest:
+                qs = [x * z + a for x, z in zip(qs, zs)]
+            es = [w - s for w, s in zip(ws[i], ss)]
+            vs = [v if e.real < -745.0 else v + x * cmath.exp(e)
+                  for v, x, e in zip(vs, qs, es)]
+            if refs:
+                rs = [r + abs(x) * math.exp(e.real)
+                      for r, x, e in zip(rs, qs, es)]
+        out.append((vs, ss, rs) if refs else (vs, ss))
+    return out
 
 
 def combine(op: str, f: ExpPoly, g) -> ExpPoly:

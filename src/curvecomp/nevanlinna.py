@@ -5,9 +5,11 @@ of log||f||^2 (the radial integration constant is dropped); the scalar
 characteristic is the classical log-plus average.  Counting functions come
 from the argument principle: integer winding numbers on a ladder of radii,
 with the radial integral done exactly on the resolved piecewise-constant
-count.  Each sweep of a circle evaluates h on its whole list of angles at
-once, bit-identical to evaluating it angle by angle, and a doubled
-resolution evaluates only the new angles.  Since the count does not
+count.  Every evaluation goes through the column kernel
+:func:`curvecomp.expfun.eval_columns`, bit-identical to evaluating angle by
+angle: each step of the adaptive quadrature evaluates the nodes of all its
+arcs in one call, and each sweep of a circle its whole list of angles, a
+doubled resolution only the new ones.  Since the count does not
 decrease with the radius, the ladder is bisected from its two ends and a
 stretch whose end counts agree is filled without sweeping it.  For entire
 functions with very many zeros a circle-mean variant is available
@@ -34,7 +36,7 @@ from functools import reduce
 from itertools import combinations, zip_longest
 from operator import add, mul
 
-from .expfun import ExpPoly, compile_terms, eval_exponents, scaled_sum
+from .expfun import ExpPoly, compile_terms, eval_columns
 from .polys import MPoly, Poly, det_field
 from .scalars import CRat
 
@@ -97,20 +99,23 @@ class ProjCurve:
 
     def log_norm_sq(self, z: complex) -> float:
         """log sum_j |f_j(z)|^2, overflow-safe (exponents factored out)."""
-        expos, comps = self.compiled()
-        ws = eval_exponents(expos, z)
-        logs = []
-        for terms in comps:
-            if not terms:
+        return self.log_norm_sqs([z])[0]
+
+    def log_norm_sqs(self, zs) -> list:
+        """log_norm_sq at every point of zs, in one call to eval_columns."""
+        cols = [[s + math.log(abs(v)) if v != 0 else None
+                 for v, s in zip(vs, ss)]
+                for vs, ss in eval_columns(*self.compiled(), zs)]
+        out = []
+        for logs in zip(*cols):
+            logs = [l for l in logs if l is not None]
+            if not logs:
+                out.append(float("-inf"))
                 continue
-            v, s = scaled_sum(terms, ws, z)
-            if v != 0:
-                logs.append(s + math.log(abs(v)))
-        if not logs:
-            return float("-inf")
-        m = max(logs)
-        acc = sum(math.exp(2.0 * (l - m)) for l in logs)
-        return 2.0 * m + math.log(acc)
+            m = max(logs)
+            acc = sum([math.exp(2.0 * (l - m)) for l in logs])
+            out.append(2.0 * m + math.log(acc))
+        return out
 
     def check_no_common_zeros(self, samples: int = 64, seed: int = 0) -> bool:
         """Best-effort check that the components share no zero.
@@ -249,21 +254,14 @@ _K15 = _WGK + (0.209482141084727828012999174891714,) + _WGK[::-1]
 _G7 = _WG + (0.417959183673469387755102040816327,) + _WG[::-1]
 
 
-def _gk15(f, a: float, b: float, smooth: bool):
-    """(integral, error estimate) of f over [a, b] by the 7/15 rule.
+def _gk15(fs, h: float, smooth: bool):
+    """(integral, error estimate) by the 7/15 rule from the values fs at the
+    nodes of an arc of half-length h.
 
     The estimate is QUADPACK's, |K15 - G7| rescaled by the variation of f
     over the arc; for smooth f it is |K15 - G7| where that is smaller.  It
-    is never below the rounding of the sum.  A NaN or -inf value (a zero
-    of log|h| hit exactly) is retried 1e-9 further on.
+    is never below the rounding of the sum.
     """
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    fs = [f(c + h * x) for x in _X15]
-    total = sum(fs)
-    if total != total or total == float("-inf"):
-        fs = [v if v == v and v != float("-inf") else f(c + h * x + 1e-9)
-              for x, v in zip(_X15, fs)]
     resk = sum(map(mul, _K15, fs))
     resg = sum(map(mul, _G7, fs[1::2]))
     mean = 0.5 * resk
@@ -296,7 +294,14 @@ def _refine(a: float, b: float, wa: float, wb: float):
 
 
 def integrate_periodic(fn, tol: float, splits=(), smooth: bool = False):
-    """Integral of fn over one period [0, 2pi) to absolute error tol.
+    """Integral of f over one period [0, 2pi) to absolute error tol.
+
+    fn maps a list of angles to the list of the values of f there.  The
+    15 Gauss-Kronrod nodes of every arc of a step (the initial arcs, or
+    the parts of a refined arc) go to fn in one call.  A node whose value
+    is NaN or -inf (a zero of log|h| hit exactly), on an arc whose values
+    do not sum to a number above -inf, is evaluated again 1e-9 further
+    on, all such nodes of a step in one more call.
 
     splits holds (angle, width) pairs: the circle is cut at each angle (no
     splits: one arc from 0), and a positive width marks a transition of
@@ -306,19 +311,33 @@ def integrate_periodic(fn, tol: float, splits=(), smooth: bool = False):
     arc adds twice its width to the arc's estimate, since it carries a
     mass of about one width on each side that the nodes cannot see.
 
-    smooth says that fn is analytic on the circle away from the marked
+    smooth says that f is analytic on the circle away from the marked
     transitions, as log||f||^2 of a curve is; log|h| (singular at zeros of
     h) and log+ (corners) are not.  Only then may an arc's estimate be the
     bare |K15 - G7| (see _gk15): next to a singularity it can understate
     the error tenfold.  Returns (integral, error_estimate); running out of
     the QUAD_BUDGET evaluations raises with the achieved estimate attached.
     """
-    def arc(a, b, wa, wb):
-        val, err = _gk15(fn, a, b, smooth)
-        unseen = _UNSEEN * (b - a)
-        floor = (2.0 * wa if wa < unseen else 0.0) + (
-            2.0 * wb if wb < unseen else 0.0)
-        return (-max(err, floor), a, b, wa, wb, val)
+    def arcs(parts):
+        """Heap entries of the arcs (a, b, width at a, width at b)."""
+        halves = [(0.5 * (a + b), 0.5 * (b - a)) for a, b, _, _ in parts]
+        nodes = [c + h * x for c, h in halves for x in _X15]
+        fs = fn(nodes)
+        blocks = [fs[k:k + 15] for k in range(0, len(fs), 15)]
+        redo = [15 * j + k for j, block in enumerate(blocks)
+                if not sum(block) > float("-inf")
+                for k, v in enumerate(block) if not v > float("-inf")]
+        if redo:
+            for k, v in zip(redo, fn([nodes[k] + 1e-9 for k in redo])):
+                blocks[k // 15][k % 15] = v
+        out = []
+        for (a, b, wa, wb), (_, h), block in zip(parts, halves, blocks):
+            val, err = _gk15(block, h, smooth)
+            unseen = _UNSEEN * (b - a)
+            floor = (2.0 * wa if wa < unseen else 0.0) + (
+                2.0 * wb if wb < unseen else 0.0)
+            out.append((-max(err, floor), a, b, wa, wb, val))
+        return out
 
     two_pi = 2.0 * math.pi
     widths = {}
@@ -327,8 +346,8 @@ def integrate_periodic(fn, tol: float, splits=(), smooth: bool = False):
         widths[t] = max(w, widths.get(t, 0.0))
     cuts = sorted(widths) or [0.0]
     ws = [widths.get(t, 0.0) for t in cuts]
-    arcs = zip(cuts, cuts[1:] + [cuts[0] + two_pi], ws, ws[1:] + ws[:1])
-    heap = [arc(*a) for a in arcs]
+    heap = arcs(list(zip(cuts, cuts[1:] + [cuts[0] + two_pi], ws,
+                         ws[1:] + ws[:1])))
     heapq.heapify(heap)
     used = 15 * len(heap)
     total = -sum(h[0] for h in heap)
@@ -341,8 +360,7 @@ def integrate_periodic(fn, tol: float, splits=(), smooth: bool = False):
                 f"(error estimate {total:g})", achieved=total)
         heapq.heappop(heap)
         total += neg
-        for part in parts:
-            new = arc(*part)
+        for new in arcs(parts):
             heapq.heappush(heap, new)
             total -= new[0]
         used += 15 * len(parts)
@@ -423,14 +441,15 @@ def _switching_splits(expos, r: float, log_plus: bool = False):
 def _zero_crossings(u, splits):
     """Zeros of u near the split angles, as extra (angle, 0.0) splits.
 
-    u is looked at on t and t +- w * 4^k for each split (t, w), out to a
-    quarter of the gap to the nearest other split angle (at that quarter
-    alone when w exceeds it); sign changes are refined by the Illinois
+    u maps a list of angles to its values there.  It is looked at on t and
+    t +- w * 4^k for each split (t, w), out to a quarter of the gap to the
+    nearest other split angle (at that quarter alone when w exceeds it),
+    all these angles in one call; sign changes are refined by the Illinois
     method.  log+ |g| has its corners at the zeros of u = log |g|.
     """
     two_pi = 2.0 * math.pi
     angles = sorted(t for t, _ in splits)
-    out = []
+    grids = []
     for t, w in splits:
         i = angles.index(t)
         quarter = 0.25 * min((angles[(i + 1) % len(angles)] - t) % two_pi
@@ -440,53 +459,74 @@ def _zero_crossings(u, splits):
         while d > 0:
             pts = [t - d] + pts + [t + d]
             d = 4.0 * d if 4.0 * d < quarter else 0.0
-        vals = [u(p) for p in pts]
-        for a, b, fa, fb in zip(pts, pts[1:], vals, vals[1:]):
+        grids.append(pts)
+    vals = iter(u([p for pts in grids for p in pts]))
+    out = []
+    for (t, _), pts in zip(splits, grids):
+        fs = [next(vals) for _ in pts]
+        for a, b, fa, fb in zip(pts, pts[1:], fs, fs[1:]):
             if fa * fb < 0 and math.isfinite(fa - fb):
-                c = _illinois(u, a, b, fa, fb)
+                c = _illinois(lambda th: u([th])[0], a, b, fa, fb)
                 if abs(c - t) > 4.0 * _EPS * two_pi:
                     out.append((c, 0.0))
     return out
 
 
+def _positive_finite(name: str, *values):
+    """ValueError unless every value is a positive finite number."""
+    for x in values:
+        if not (x > 0 and math.isfinite(x)):
+            raise ValueError(
+                f"{name} must be a positive finite number, got {x!r}")
+
+
+def _on_circle(r: float, thetas) -> list:
+    """The points r e^(i theta) of the angles thetas."""
+    return [r * complex(math.cos(t), math.sin(t)) for t in thetas]
+
+
 def characteristic(curve: ProjCurve, r: float, tol: float = 1e-8) -> float:
     """Circle average (1/4pi) int log||f||^2 at radius r."""
-    if r <= 0:
-        raise ValueError("radius must be positive")
+    _positive_finite("r", r)
+    _positive_finite("tol", tol)
     val, _ = integrate_periodic(
-        lambda th: curve.log_norm_sq(r * complex(math.cos(th), math.sin(th))),
+        lambda ths: curve.log_norm_sqs(_on_circle(r, ths)),
         tol * 4.0 * math.pi, _switching_splits(curve.compiled()[0], r),
         smooth=True)
     return val / (4.0 * math.pi)
 
 
 def _log_abs_on_circle(h: ExpPoly, r: float):
-    """theta -> log|h(r e^(i theta))|, -inf at an exact zero (a node where
-    it lands is retried nearby by integrate_periodic)."""
+    """thetas -> [log|h(r e^(i theta))|], -inf at an exact zero (a node
+    where it lands is retried nearby by integrate_periodic)."""
+    expos, terms = h.compiled()
 
-    def log_abs(th):
-        v, s = h.eval_scaled(r * complex(math.cos(th), math.sin(th)))
-        return s + math.log(abs(v)) if v != 0 else float("-inf")
+    def log_abs(thetas):
+        (vs, ss), = eval_columns(expos, (terms,), _on_circle(r, thetas))
+        return [s + math.log(abs(v)) if v != 0 else float("-inf")
+                for v, s in zip(vs, ss)]
     return log_abs
 
 
 def characteristic_scalar(g: ExpPoly, r: float, tol: float = 1e-8) -> float:
     """Classical scalar characteristic (1/2pi) int log+ |g|."""
-    if r <= 0:
-        raise ValueError("radius must be positive")
+    _positive_finite("r", r)
+    _positive_finite("tol", tol)
     log_abs = _log_abs_on_circle(g, r)
 
     # the corners of log+ lie near the switching angles against the
     # constant 1, moved by the coefficients and the other terms
     splits = _switching_splits(g.compiled()[0], r, log_plus=True)
     val, _ = integrate_periodic(
-        lambda th: max(0.0, log_abs(th)), tol * 2.0 * math.pi,
+        lambda ths: [max(0.0, u) for u in log_abs(ths)], tol * 2.0 * math.pi,
         splits + _zero_crossings(log_abs, splits))
     return val / (2.0 * math.pi)
 
 
 def circle_log_mean(h: ExpPoly, r: float, tol: float = 1e-8) -> float:
     """(1/2pi) int log|h| on the circle of radius r (dips are integrable)."""
+    _positive_finite("r", r)
+    _positive_finite("tol", tol)
     val, _ = integrate_periodic(_log_abs_on_circle(h, r), tol * 2.0 * math.pi,
                                 _switching_splits(h.compiled()[0], r))
     return val / (2.0 * math.pi)
@@ -499,40 +539,14 @@ def circle_log_mean(h: ExpPoly, r: float, tol: float = 1e-8) -> float:
 def _circle_values(h: ExpPoly, radius: float, thetas) -> list:
     """h's scaled values v at the angles thetas on the circle |z| = radius.
 
-    v is eval_scaled's v at z = radius e^(i theta).  The sweep runs column
-    by column: the Horner pass of each compiled exponent over all points,
-    then the scale s of every point, then each term's q, v and reference.
-    Every point sees the float operations of a one-point evaluation in the
-    same order, so the values are bit-identical to it.  The reference sums
-    |q_k(z)| exp(Re w_k - s) over the terms, the size v would have without
-    cancellation (Re w_k - s is never positive, s being the largest, or it
-    is NaN); where |v| is below 1e-12 of it, WindingError names the first
-    such angle.
+    v is eval_scaled's v at z = radius e^(i theta), all the angles in one
+    call to eval_columns.  Where |v| is below 1e-12 of the cancellation
+    reference (the size v would have without cancellation), WindingError
+    names the first such angle.
     """
     expos, terms = h.compiled()
-    zs = [radius * complex(math.cos(t), math.sin(t)) for t in thetas]
-    n = len(zs)
-    ws = []
-    for w, rest, c in expos:
-        col = [w] * n
-        if rest is not None:
-            for a in rest:
-                col = [x * z + a for x, z in zip(col, zs)]
-            col = [c + x for x in col]
-        ws.append(col)
-    vs = [0j] * n
-    refs = [0.0] * n
-    reals = [[w.real for w in ws[i]] for _, _, i in terms]
-    s = reals[0] if len(reals) == 1 else list(map(max, zip(*reals)))
-    for q, rest, i in terms:
-        qs = [q] * n
-        for a in rest:
-            qs = [x * z + a for x, z in zip(qs, zs)]
-        es = [w - sv for w, sv in zip(ws[i], s)]
-        vs = [v if e.real < -745.0 else v + x * cmath.exp(e)
-              for v, x, e in zip(vs, qs, es)]
-        refs = [ref + abs(x) * math.exp(e.real)
-                for ref, x, e in zip(refs, qs, es)]
+    (vs, _, refs), = eval_columns(expos, (terms,), _on_circle(radius, thetas),
+                                  refs=True)
     small = [a <= 1e-12 * max(ref, 1e-300)
              for a, ref in zip(map(abs, vs), refs)]
     if True in small:
@@ -656,10 +670,8 @@ def _counting_radii(h: ExpPoly, radii, tol: float = 1e-3,
     """
     if h.is_zero():
         raise DegenerateCurveError("cannot count zeros of the zero function")
-    for name, x in [("r", r) for r in radii] + [("tol", tol)]:
-        if not (x > 0 and math.isfinite(x)):
-            raise ValueError(
-                f"{name} must be a positive finite number, got {x!r}")
+    _positive_finite("r", *radii)
+    _positive_finite("tol", tol)
     if method not in ("winding", "circle-mean"):
         raise ValueError(f"unknown counting method {method!r}")
     out = []
@@ -779,7 +791,10 @@ def order_estimate(curve: ProjCurve, radii, tol: float = 1e-8) -> GrowthReport:
     rational curves); fitted_order is the log-log slope, with log-growth
     detected first so bounded-by-log curves report order zero exactly.
     """
-    radii = sorted(float(r) for r in radii)
+    radii = [float(r) for r in radii]
+    _positive_finite("r", *radii)
+    _positive_finite("tol", tol)
+    radii.sort()
     if len(radii) < 4:
         raise ValueError("need at least four radii")
     flags = []

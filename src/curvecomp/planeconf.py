@@ -44,8 +44,6 @@ from fractions import Fraction
 from dataclasses import dataclass, field
 from itertools import combinations
 
-import mpmath as mp
-
 from .polys import (MPoly, Poly, biv_gcd, exact_roots, poly_gcd,
                     resultant_bivariate, squarefree_decomposition)
 from .scalars import CRat
@@ -380,6 +378,7 @@ def _common_v_numeric(a1, a2, alpha):
     gives the first v; a further pair gives another only when it lies more
     than 1e-10 from every v kept.
     """
+    import mpmath as mp
     q1 = _poly_at_numeric(a1, alpha)
     q2 = _poly_at_numeric(a2, alpha)
     r1 = mp.polyroots(q1, maxsteps=200, extraprec=120) if len(q1) > 1 else []
@@ -395,6 +394,7 @@ def _common_v_numeric(a1, a2, alpha):
 
 
 def _poly_at_numeric(a: MPoly, alpha):
+    import mpmath as mp
     with mp.workdps(50):
         al = mp.mpc(alpha)
         vals = [c.eval([al], lambda q: mp.mpc(str(q.re), str(q.im)))

@@ -27,8 +27,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 
-import mpmath as mp
-
 from .scalars import SCALAR_TYPES, CRat, power
 
 # what Poly, MPoly and RatFunc multiply by as a scalar
@@ -826,6 +824,7 @@ def poly_roots_numeric(p: Poly, dps: int = 50):
     """High-precision roots of a (preferably squarefree) polynomial."""
     if p.degree < 1:
         return []
+    import mpmath as mp
     with mp.workdps(dps):
         cs = [mp.mpc(str(c.re), str(c.im)) for c in reversed(p.coeffs)]
         roots = mp.polyroots(cs, maxsteps=200, extraprec=120)
@@ -834,6 +833,7 @@ def poly_roots_numeric(p: Poly, dps: int = 50):
 
 def _binary_fraction(x) -> Fraction:
     """The exact value of a float or a finite mpmath real."""
+    import mpmath as mp
     if not isinstance(x, mp.mpf):
         return Fraction(x)
     if not mp.isfinite(x):

@@ -6,6 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from curvecomp import nevanlinna
 from curvecomp.expfun import ExpPoly
 from curvecomp.polys import MPoly, Poly
 from curvecomp.scalars import CRat
@@ -26,6 +27,22 @@ XI2 = poly(0, 0, 1)
 
 def exp_of(p, coeff=1):
     return ExpPoly.exp_of(p, coeff)
+
+
+def count_evaluations(monkeypatch):
+    """Count the integrand evaluations made through integrate_periodic:
+    the angles of every call, not the calls."""
+    calls = [0]
+    inner = nevanlinna.integrate_periodic
+
+    def counted(fn, *args, **kwargs):
+        def f(thetas):
+            calls[0] += len(thetas)
+            return fn(thetas)
+        return inner(f, *args, **kwargs)
+
+    monkeypatch.setattr(nevanlinna, "integrate_periodic", counted)
+    return calls
 
 
 def mp3(monos):

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -295,6 +297,40 @@ class TestErrors:
         assert doc["error"]["message"] == (
             f"{name} must be a positive finite number, got {float(value)!r}")
 
+    @pytest.mark.parametrize("argv, name, value", [
+        (["nev", "T", "--r", "nan"], "r", "nan"),
+        (["nev", "T", "--r", "inf"], "r", "inf"),
+        (["nev", "T", "--r", "2", "--tol", "nan"], "tol", "nan"),
+        (["nev", "T", "--r", "2", "--tol", "0"], "tol", "0"),
+        (["nev", "order", "--radii", "2,4,nan,16"], "r", "nan"),
+        (["nev", "order", "--radii", "2,4,8,16", "--tol", "inf"], "tol",
+         "inf"),
+    ], ids=["T-r-nan", "T-r-inf", "T-tol-nan", "T-tol-0", "order-r-nan",
+            "order-tol-inf"])
+    def test_nev_T_needs_positive_finite_input(self, tmp_path, curve_file,
+                                               argv, name, value):
+        code, doc = run_json(tmp_path, "o.json",
+                             argv + ["--curve", curve_file])
+        assert code == 1 and doc["error"]["type"] == "ValueError"
+        assert doc["error"]["message"] == (
+            f"{name} must be a positive finite number, got {float(value)!r}")
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--r", "nan"), ("--r", "inf"), ("--tol", "nan"),
+    ])
+    def test_nev_Tscalar_needs_positive_finite_input(self, tmp_path, flag,
+                                                     value):
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps(CURVE_EXP["components"][1]))
+        opts = {"--r": "2", "--tol": "1e-6", flag: value}
+        code, doc = run_json(tmp_path, "o.json",
+                             ["nev", "Tscalar", "--g", str(g)]
+                             + [x for kv in opts.items() for x in kv])
+        assert code == 1 and doc["error"]["type"] == "ValueError"
+        assert doc["error"]["message"] == (
+            f"{flag[2:]} must be a positive finite number, "
+            f"got {float(value)!r}")
+
     def test_payload_curve_needs_components(self, tmp_path):
         p = tmp_path / "in.json"
         p.write_text(json.dumps({"curve": {"comps": []}, "r": 2.0}))
@@ -325,6 +361,28 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main(["nosuchgroup"])
         assert exc.value.code == 2
+
+
+class TestImports:
+    @pytest.mark.parametrize("command", ["nev T", "cover pushdown"])
+    def test_command_leaves_mpmath_out(self, tmp_path, curve_file, command):
+        # mpmath is imported only where numeric roots are taken
+        form = tmp_path / "form.json"
+        form.write_text(json.dumps(FORM_DZ1DZ2))
+        argv = {"nev T": ["nev", "T", "--curve", curve_file, "--r", "3"],
+                "cover pushdown": ["cover", "pushdown", "--b", "2",
+                                   "--form", str(form)]}[command]
+        argv += ["--output", str(tmp_path / "o.json")]
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+        code = ("import sys; from curvecomp.cli import main; "
+                "code = main(sys.argv[1:]); "
+                "print(code, 'mpmath' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["0", "False"]
 
 
 class TestDeterminism:

@@ -1,10 +1,11 @@
 """The compiled numeric kernel against a per-term reference, bit for bit.
 
 The reference below evaluates every term straight from its exact data
-through CRat.to_complex and Poly.eval_complex, as ExpPoly.eval_scaled did
-before evaluation moved to compiled complex data.  The kernel performs the
-same float operations in the same order, so the results must be equal, not
-merely close.
+through CRat.to_complex and Poly.eval_complex, one point at a time, as
+ExpPoly.eval_scaled did before evaluation moved to compiled complex data.
+The column kernel eval_columns performs the same float operations in the
+same order on a whole batch of points, so the results must be equal, not
+merely close, whatever the batch.
 """
 
 import cmath
@@ -18,11 +19,15 @@ from pathlib import Path
 
 import pytest
 
-from curvecomp.expfun import ExpPoly
-from curvecomp.nevanlinna import ProjCurve, WindingError, _circle_values
+from curvecomp.expfun import ExpPoly, eval_columns
+from curvecomp.nevanlinna import (ProjCurve, WindingError, _X15,
+                                  _circle_values, _log_abs_on_circle,
+                                  characteristic, characteristic_scalar,
+                                  circle_log_mean)
 from curvecomp.polys import Poly
+from curvecomp.scalars import CRat
 
-from conftest import XI, XI2, cr, exp_of, poly
+from conftest import XI, XI2, count_evaluations, cr, exp_of, poly
 
 
 def ref_eval_scaled(f, z):
@@ -126,10 +131,24 @@ MIXED = (exp_of(poly(0, cr(1, 1), -2), cr(2, -1)) + TAGGED
          + ExpPoly([(poly(1, 1), XI2, cr(-3, HALF))]) + POLY_PART)
 # at |z| = 40 the e^z term sits about 1560 below e^{z^2}: it underflows
 UNDERFLOW = E_XI2 + ExpPoly([(poly(0, 1), XI)])
+# the first node of the one arc [0, 2pi) that integrate_periodic starts
+# with when there are no splits
+NODE_THETA = math.pi + math.pi * _X15[0]
+
+
+def vanishing_at(z):
+    """z - z0 for the exact value z0 of z: exactly 0 when evaluated at z."""
+    return ExpPoly.from_poly(Poly([CRat(-Fraction(z.real), -Fraction(z.imag)),
+                                   CRat(1)]))
+
+
+NODE_Z = 2.5 * complex(math.cos(NODE_THETA), math.sin(NODE_THETA))
+NODE_ZERO = vanishing_at(NODE_Z)
 
 FUNCTIONS = {"zero": ZERO, "one": ONE, "poly_part": POLY_PART,
              "tagged": TAGGED, "mixed": MIXED, "underflow": UNDERFLOW,
-             "exp_minus_one": E_XI - ONE}
+             "exp_minus_one": E_XI - ONE, "node_zero": NODE_ZERO,
+             "node_zero_exp": NODE_ZERO * E_XI2 + ZERO}
 
 CURVES = {
     # 4 terms, 2 distinct exponents shared between components
@@ -138,7 +157,53 @@ CURVES = {
                                 MIXED, POLY_PART]),
     "zero_component": ProjCurve([ZERO, E_XI2, UNDERFLOW]),
     "rational": ProjCurve([ONE, ExpPoly.from_poly(poly(0, 0, 0, 1))]),
+    # one component vanishes exactly at NODE_Z, or both do
+    "node_zero": ProjCurve([NODE_ZERO, E_XI2, UNDERFLOW]),
+    "node_zero_only": ProjCurve([ZERO, NODE_ZERO]),
 }
+
+
+def batches(seed, count=6):
+    """Seeded batches of points, each with NODE_Z somewhere in it."""
+    rng = random.Random(seed)
+    out = [[NODE_Z], points(seed)]
+    for _ in range(count):
+        pts = points(rng.randrange(1 << 30), n=rng.randint(0, 44))
+        pts.insert(rng.randint(0, len(pts)), NODE_Z)
+        out.append(pts)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(FUNCTIONS))
+def test_kernel_batches_match_reference(name):
+    """eval_columns on whole batches, against the one-point reference."""
+    f = FUNCTIONS[name]
+    expos, terms = f.compiled()
+    for zs in batches(seed=300 + len(name)):
+        want = [ref_eval_scaled(f, z) for z in zs]
+        (vs, ss), = eval_columns(expos, (terms,), zs)
+        assert_identical(tuple(zip(vs, ss)), tuple(want))
+        (vs, ss, refs), = eval_columns(expos, (terms,), zs, refs=True)
+        assert_identical(tuple(zip(vs, ss)), tuple(want))
+        assert_identical(tuple(refs),
+                         tuple(ref_eval_unit(f, z)[1] for z in zs))
+
+
+@pytest.mark.parametrize("name", sorted(CURVES))
+def test_log_norm_sqs_batches_match_reference(name):
+    c = CURVES[name]
+    for zs in batches(seed=400 + len(name)):
+        assert_identical(tuple(c.log_norm_sqs(zs)),
+                         tuple(ref_log_norm_sq(c, z) for z in zs))
+
+
+def test_kernel_serves_components_of_a_curve():
+    c = CURVES["node_zero"]
+    zs = points(seed=5)
+    cols = eval_columns(*c.compiled(), zs)
+    for comp, (vs, ss) in zip(c.components, cols):
+        assert_identical(tuple(zip(vs, ss)),
+                         tuple(ref_eval_scaled(comp, z) for z in zs))
 
 
 @pytest.mark.parametrize("name", sorted(FUNCTIONS))
@@ -186,6 +251,9 @@ def test_log_norm_sq_matches_reference(name):
 
 def test_cases_are_exercised():
     assert ZERO.is_zero() and ZERO.eval_scaled(2.0) == (0j, 0.0)
+    assert NODE_ZERO.eval_scaled(NODE_Z) == (0j, 0.0)
+    assert CURVES["node_zero_only"].log_norm_sq(NODE_Z) == float("-inf")
+    assert math.isfinite(CURVES["node_zero"].log_norm_sq(NODE_Z))
     assert ref_eval_unit(ZERO, 2.0) == (0j, 0.0)
     with pytest.raises(WindingError, match=r"at theta=0\.5$"):
         _circle_values(ZERO, 2.0, [0.5, 1.0])
@@ -220,3 +288,41 @@ def test_import_leaves_numpy_out():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+ORDER2 = CURVES["order2"]
+# float.hex of values recorded before the quadrature evaluated its nodes in
+# batches through eval_columns, one angle per call then
+T_PINS = {8.0: "0x1.4cd1c326189cep+4", 32.0: "0x1.466019576ae99p+8",
+          128.0: "0x1.45f9d8732e754p+12"}
+
+
+@pytest.mark.parametrize("r", sorted(T_PINS))
+def test_characteristic_bit_identical(r):
+    assert characteristic(ORDER2, r).hex() == T_PINS[r]
+
+
+def test_characteristic_scalar_bit_identical():
+    assert characteristic_scalar(E_XI, 10.0).hex() == "0x1.976fc893c3aa4p+1"
+
+
+@pytest.mark.parametrize("r, want", [(1.0, "0x1.7a6b0ca7f4621p-33"),
+                                     (2.5, "0x1.d5240f0f8872ap-1")])
+def test_circle_mean_retries_exact_zero_at_node(monkeypatch, r, want):
+    # z - z0 with z0 exactly the first node of the circle of radius r: the
+    # integrand is -inf there, and that one node is evaluated again 1e-9
+    # further on (1,245 nodes in 83 arcs, plus the retry)
+    z0 = r * complex(math.cos(NODE_THETA), math.sin(NODE_THETA))
+    h = vanishing_at(z0)
+    assert _log_abs_on_circle(h, r)([NODE_THETA]) == [float("-inf")]
+    calls = count_evaluations(monkeypatch)
+    assert circle_log_mean(h, r).hex() == want
+    assert calls[0] == 1246
+
+
+def test_circle_mean_zero_on_circle_bit_identical():
+    # zeros on the circle inside an arc and at a switching angle
+    h = ExpPoly.from_poly(poly(cr(Fraction(-3, 5), Fraction(-4, 5)), 1))
+    assert circle_log_mean(h, 1.0).hex() == "-0x1.261206cc78ce2p-33"
+    assert circle_log_mean(E_XI - ONE, 2 * math.pi).hex() == (
+        "0x1.d67f1c865f968p+0")

@@ -21,7 +21,7 @@ from curvecomp.nevanlinna import (DegenerateCurveError, GeneralPositionError,
 from curvecomp.polys import Poly
 from curvecomp.scalars import CRat
 
-from conftest import XI, XI2, cr, exp_of, poly
+from conftest import XI, XI2, count_evaluations, cr, exp_of, poly
 
 
 def curve(*components):
@@ -79,21 +79,6 @@ def order2_oracle(r, dps=20):
             a, b = mp.exp(z), mp.exp(z * z)
             return mp.log(abs(a) ** 2 + abs(b) ** 2 + abs(a + b) ** 2)
         return oracle_circle_mean(log_norm_sq, r, dps, cuts) / 2
-
-
-def count_evaluations(monkeypatch):
-    """Count the integrand evaluations made through integrate_periodic."""
-    calls = [0]
-    inner = nevanlinna.integrate_periodic
-
-    def counted(fn, *args, **kwargs):
-        def f(theta):
-            calls[0] += 1
-            return fn(theta)
-        return inner(f, *args, **kwargs)
-
-    monkeypatch.setattr(nevanlinna, "integrate_periodic", counted)
-    return calls
 
 
 class TestCharacteristicScalar:
@@ -201,6 +186,7 @@ class TestCounting:
         # adaptive arcs close in on the log singularity; a uniform rule
         # converges only algebraically there (65,569 evaluations)
         assert calls[0] < 2000
+        assert calls[0] == 810
 
     def test_winding_sweeps_share_evaluations(self, monkeypatch):
         calls = [0]
@@ -332,7 +318,7 @@ class TestSharedRadii:
             characteristic(f, r)
             circle_log_mean(h, r, tol=0.25e-3)
         circle_log_mean(h, 1.0, tol=0.25e-3)
-        assert total == calls[0]
+        assert total == calls[0] == 915
 
     def test_sum_relation_base_circle_per_summand(self, monkeypatch):
         radii = []
@@ -574,7 +560,8 @@ class TestPaperInequalities:
 
 class TestQuadrature:
     def test_smooth_integrand(self):
-        val, err = integrate_periodic(lambda t: math.cos(3 * t) ** 2, 1e-10)
+        val, err = integrate_periodic(
+            lambda ts: [math.cos(3 * t) ** 2 for t in ts], 1e-10)
         assert val == pytest.approx(math.pi, abs=1e-9)
 
     @pytest.mark.parametrize("r", [128.0, 256.0, 512.0])
@@ -587,6 +574,7 @@ class TestQuadrature:
         assert got == pytest.approx(r * r / math.pi, rel=0.01)
         # the cost must not grow with r again
         assert calls[0] <= 5000
+        assert calls[0] == {128.0: 1170, 256.0: 990, 512.0: 1230}[r]
 
     @pytest.mark.parametrize("tol", [1e-4, 1e-8])
     def test_log_plus_corner_off_switching_angle(self, tol):
