@@ -18,12 +18,9 @@ omega0 = lambda*dxi1/xi1 - gamma*dxi2/xi2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import combinations
 
 from .expfun import ExpPoly
-from .nevanlinna import (ProjCurve, SmtReport, fit_linear, log_bound_factor,
-                         smt_defect_on_sum_relation)
 from .polys import Poly, as_crat, exact_roots, squarefree_decomposition
 from .scalars import CRat
 
@@ -46,21 +43,37 @@ class InconsistentCase2Error(BorelError):
     pass
 
 
-@dataclass(frozen=True)
 class ExpTerm:
     """One summand: coeff * exp((i+j)p1 + (M-i+k)p2) * (p1')^i (p2')^(M-i)."""
 
-    coeff: CRat
-    i: int
-    j: int
-    k: int
-    M: int
+    __slots__ = ("coeff", "i", "j", "k", "M")
 
-    def __post_init__(self):
-        if not (0 <= self.i <= self.M):
-            raise ValueError(f"i={self.i} outside [0, M={self.M}]")
-        if self.j < 0 or self.k < 0:
+    def __init__(self, coeff: CRat, i: int, j: int, k: int, M: int):
+        if not (0 <= i <= M):
+            raise ValueError(f"i={i} outside [0, M={M}]")
+        if j < 0 or k < 0:
             raise ValueError("j, k must be nonnegative")
+        object.__setattr__(self, "coeff", coeff)
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "M", M)
+
+    def __setattr__(self, *a):
+        raise AttributeError("ExpTerm is immutable")
+
+    __delattr__ = __setattr__
+
+    def _data(self):
+        return (self.coeff, self.i, self.j, self.k, self.M)
+
+    def __eq__(self, other):
+        if not isinstance(other, ExpTerm):
+            return NotImplemented
+        return self._data() == other._data()
+
+    def __hash__(self):
+        return hash(self._data())
 
     def to_json(self):
         return {"coeff": self.coeff.to_json(), "i": self.i, "j": self.j,
@@ -112,12 +125,14 @@ class ExpSum:
         return cls(terms, Poly.from_json(data["p1"]), Poly.from_json(data["p2"]), M)
 
 
-@dataclass
 class AnalysisOutcome:
-    kind: str                      # case1_contradiction | case2_proportional | degenerate_input
-    lam: CRat = None
-    gam: CRat = None
-    witness: dict = field(default_factory=dict)
+    def __init__(self, kind: str, lam: CRat = None, gam: CRat = None,
+                 witness: dict = None):
+        # case1_contradiction | case2_proportional | degenerate_input
+        self.kind = kind
+        self.lam = lam
+        self.gam = gam
+        self.witness = {} if witness is None else witness
 
     def omega0(self) -> str:
         if self.kind != "case2_proportional":
@@ -262,11 +277,11 @@ def form_coefficients(s: ExpSum):
     return dvec
 
 
-@dataclass
 class Factorization:
-    lead: object                     # CRat or complex
-    factors: list                    # [(lam, gam, exact: bool)]
-    exact: bool
+    def __init__(self, lead, factors: list, exact: bool):
+        self.lead = lead           # CRat or complex
+        self.factors = factors     # [(lam, gam, exact: bool)]
+        self.exact = exact
 
     def reconstruct_coeffs(self, M: int):
         """Multiply the linear factors back out (exact factorizations only)."""
@@ -370,16 +385,17 @@ def case2_conclude(s: ExpSum) -> AnalysisOutcome:
 # case 1: numeric refutation of mixed classes
 # ---------------------------------------------------------------------------
 
-@dataclass
 class Case1Report:
-    L: int
-    radii: list
-    T: list
-    log_factor: float
-    logfit_residual: float
-    smt: SmtReport
-    refuted: bool
-    reason: str
+    def __init__(self, L: int, radii: list, T: list, log_factor: float,
+                 logfit_residual: float, smt, refuted: bool, reason: str):
+        self.L = L
+        self.radii = radii
+        self.T = T
+        self.log_factor = log_factor
+        self.logfit_residual = logfit_residual
+        self.smt = smt             # nevanlinna.SmtReport or None
+        self.refuted = refuted
+        self.reason = reason
 
     def to_json(self):
         return {"L": self.L, "radii": self.radii, "T": self.T,
@@ -433,9 +449,10 @@ def case1_refute(subset, radii=(4.0, 8.0, 16.0, 32.0),
                            None, True,
                            "two distinct classes: exp(nonconstant polynomial) "
                            "would equal a rational function")
+    from .nevanlinna import (ProjCurve, characteristic, fit_linear,
+                             log_bound_factor, smt_defect_on_sum_relation)
     components = _strip_common_poly_zeros(components)
     curve = ProjCurve(components)
-    from .nevanlinna import characteristic
     ts = [characteristic(curve, r) for r in radii]
     factor = log_bound_factor(radii, ts)
     _, _, rms = fit_linear([math.log(r) for r in radii], ts)

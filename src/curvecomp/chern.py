@@ -13,7 +13,6 @@ as caller-supplied hypothesis flags.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 
 
@@ -21,7 +20,6 @@ class InvalidDegreeError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class CIData:
     """Degrees of a complete-intersection surface with a 3-component curve.
 
@@ -29,8 +27,7 @@ class CIData:
     hypersurface presentation so every formula below has one code path.
     """
 
-    a: tuple
-    b: tuple
+    __slots__ = ("a", "b")
 
     def __init__(self, a, b):
         a = tuple(int(x) for x in a)
@@ -43,6 +40,19 @@ class CIData:
             raise InvalidDegreeError("all degrees must be >= 1")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+
+    def __setattr__(self, *a):
+        raise AttributeError("CIData is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if not isinstance(other, CIData):
+            return NotImplemented
+        return (self.a, self.b) == (other.a, other.b)
+
+    def __hash__(self):
+        return hash((self.a, self.b))
 
     @property
     def r(self) -> int:
@@ -156,14 +166,16 @@ class LogChernReport:
         }
 
 
-@dataclass
 class TheoremVerdict:
-    condition_i_pic: bool
-    condition_ii: bool
-    condition_iii: bool
-    main2_case: str = "none"
-    mt_applicable: bool = False
-    notes: list = field(default_factory=list)
+    def __init__(self, condition_i_pic: bool, condition_ii: bool,
+                 condition_iii: bool, main2_case: str = "none",
+                 mt_applicable: bool = False, notes: list = None):
+        self.condition_i_pic = condition_i_pic
+        self.condition_ii = condition_ii
+        self.condition_iii = condition_iii
+        self.main2_case = main2_case
+        self.mt_applicable = mt_applicable
+        self.notes = [] if notes is None else notes
 
     @property
     def applicable(self) -> bool:

@@ -15,7 +15,14 @@ deterministic: identical argv and input files produce byte-identical output.
 Exports of exact numbers are ``[num, den]`` / ``[re_n, re_d, im_n, im_d]``
 pairs; floating values are rounded to 15 significant digits.  Exit codes:
 0 success, 1 schema or computational error (structured JSON on the output
-stream), 2 usage.
+stream, or on stdout when the output file cannot be written), 2 usage.
+
+Start-up follows use.  COMMANDS is the one table of groups, commands,
+handlers and flags; ``main`` builds the parser of the named command alone,
+and the full parser only for help, an unknown or missing name, or a usage
+error, so help text and usage errors read the same either way.  A handler
+imports its engine module when it runs, and this module imports no engine
+and no scalar type at the top.
 """
 
 from __future__ import annotations
@@ -24,10 +31,8 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 
 from . import __version__
-from .scalars import CRat
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +120,7 @@ def _curve_from(data):
 
 def _divisor_from(data):
     from .nevanlinna import HomDivisor
+    from .scalars import CRat
     if isinstance(data, dict) and "monomials" in data:
         return HomDivisor.from_json(data)
     if isinstance(data, list) and data and isinstance(data[0], list):
@@ -394,7 +400,10 @@ def _cmd_expfun_iszero(args):
 
 
 def _cmd_expfun_combine(args):
+    from fractions import Fraction
+
     from .expfun import combine
+    from .scalars import CRat
     f = _load_exppoly(args.f)
     if args.op == "scale":
         g = CRat(Fraction(args.scalar))
@@ -404,158 +413,189 @@ def _cmd_expfun_combine(args):
 
 
 # ---------------------------------------------------------------------------
-# parser assembly
+# command table and parser assembly
 # ---------------------------------------------------------------------------
 
-def _common(p, tol_default=None):
-    p.add_argument("--output", default="-", help="output file or - for stdout")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for any internal randomized schedule")
-    if tol_default is not None:
-        p.add_argument("--tol", type=float, default=None,
-                       help=f"tolerance (default {tol_default})")
+def _nev(fn, needs, tol, *extra):
+    """A nev command: --input, one flag per input it needs, then extra."""
+    flags = [("--input", {"default": None,
+                          "help": "JSON payload with curve/divisor/radii/tol"})]
+    flags += [(f"--{key}", {"default": None, **_NEV_INPUTS[key][0]})
+              for key in needs]
+    return fn, flags + list(extra), {"needs": needs, "tol_default": tol}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+_METHOD = ("--method", {"default": "winding",
+                        "choices": ["winding", "circle-mean"]})
+_REQUIRED = {"required": True}
+
+# group -> (help, {command: (handler, [(flag, argparse options)], defaults)});
+# a command with a "tol_default" default also takes --tol
+COMMANDS = {
+    "chern": ("complete-intersection invariants", {
+        "invariants": (_cmd_chern_invariants, [
+            ("--a", {"default": "1",
+                     "help": "hypersurface degrees, e.g. 1 or 2,3"}),
+            ("--b", {"required": True,
+                     "help": "three curve degrees, e.g. 2,2,2"})], {}),
+        "classify": (_cmd_chern_classify, [
+            ("--a", {"default": "1"}),
+            ("--b", _REQUIRED),
+            ("--pic", {"action": "store_true", "help": "assume Pic = Z"}),
+            ("--generic-nl", {"action": "store_true",
+                              "help": "assume Noether-Lefschetz "
+                                      "genericity"})], {}),
+        "enumerate": (_cmd_chern_enumerate, [
+            ("--a", {"default": "1"}),
+            ("--bmax", {"type": int, "required": True}),
+            ("--pic", {"action": "store_true"}),
+            ("--generic-nl", {"action": "store_true"}),
+            ("--golden", {"default": None,
+                          "help": "golden table directory"}),
+            ("--update", {"action": "store_true",
+                          "help": "write the golden table instead of "
+                                  "comparing"})], {}),
+    }),
+    "nev": ("growth functionals and main theorems", {
+        "T": _nev(_cmd_nev_T, ("curve", "r"), 1e-8),
+        "Tscalar": _nev(_cmd_nev_Tscalar, ("g", "r"), 1e-8),
+        "N": _nev(_cmd_nev_N, ("curve", "divisor", "r"), 1e-3, _METHOD),
+        "order": _nev(_cmd_nev_order, ("curve", "radii"), 1e-8),
+        "fmt": _nev(_cmd_nev_fmt, ("curve", "divisor", "radii"), 0.02),
+        "smt": _nev(_cmd_nev_smt, ("curve", "divisors", "radii"), 0.05,
+                    _METHOD),
+    }),
+    "borel": ("exponential identity engine", {
+        "analyze": (_cmd_borel_analyze, [
+            ("--input", {"required": True, "help": "ExpSum JSON file"})], {}),
+        "refute": (_cmd_borel_refute, [
+            ("--input", {"required": True, "help": "ExpSum JSON file"}),
+            ("--radii", {"default": None}),
+            ("--factor", {"type": float, "default": 10.0})], {}),
+    }),
+    "cover": ("cyclic-cover form transport", {
+        "pushdown": (_cmd_cover_pushdown, [
+            ("--b", {"type": int, "required": True,
+                     "help": "branching order"}),
+            ("--form", {"required": True, "help": "SymForm JSON file"}),
+            ("--no-norm", {"dest": "norm", "action": "store_false",
+                           "help": "push the form as-is (skip the "
+                                   "deck-product step)"})], {}),
+        "check": (_cmd_cover_check, [
+            ("--form", _REQUIRED),
+            ("--g1", {"required": True,
+                      "help": "first coordinate ExpPoly JSON"}),
+            ("--g2", _REQUIRED)], {}),
+    }),
+    "plane": ("plane configuration checks", {
+        "intersect": (_cmd_plane_intersect, [
+            ("--input", {"required": True,
+                         "help": "{'curves': [c1, c2]} JSON"})], {}),
+        "nc": (_cmd_plane_nc, [
+            ("--config", {"required": True,
+                          "help": "Configuration JSON file"})], {}),
+        "engine": (_cmd_plane_engine, [
+            ("--degrees", {"required": True, "help": "e.g. 2,2,3"}),
+            ("--d0max", {"type": int, "required": True})], {}),
+        "exclusion": (_cmd_plane_exclusion, [("--config", _REQUIRED)], {}),
+    }),
+    "expfun": ("exponential polynomial algebra", {
+        "eval": (_cmd_expfun_eval, [
+            ("--f", {"required": True, "help": "ExpPoly JSON file"}),
+            ("--point", {"required": True,
+                         "help": "complex point, e.g. 1+2i"})], {}),
+        "diff": (_cmd_expfun_diff, [("--f", _REQUIRED)], {}),
+        "iszero": (_cmd_expfun_iszero, [("--f", _REQUIRED)], {}),
+        "combine": (_cmd_expfun_combine, [
+            ("--op", {"required": True,
+                      "choices": ["add", "multiply", "scale"]}),
+            ("--f", _REQUIRED),
+            ("--g", {"default": None,
+                     "help": "second operand (add/multiply)"}),
+            ("--scalar", {"default": None,
+                          "help": "rational scalar (scale)"})], {}),
+    }),
+}
+
+
+class _UsageError(Exception):
+    pass
+
+
+class _OneCommandParser(argparse.ArgumentParser):
+    """The parser of one command, which leaves a usage error to the full
+    parser: its messages list every group and command."""
+
+    def error(self, message):
+        raise _UsageError(message)
+
+
+def build_parser(only=None) -> argparse.ArgumentParser:
+    """The command-line parser; only=(group, command) builds that command
+    alone, with a parser that raises _UsageError on bad usage."""
+    top = (argparse.ArgumentParser if only is None else _OneCommandParser)(
         prog="curvecomp",
         description="exact/numerical toolkit around curve-complement "
                     "hyperbolicity criteria")
     groups = top.add_subparsers(dest="group", required=True)
-
-    chern = groups.add_parser("chern", help="complete-intersection invariants")
-    csub = chern.add_subparsers(dest="cmd", required=True)
-    p = csub.add_parser("invariants")
-    p.add_argument("--a", default="1", help="hypersurface degrees, e.g. 1 or 2,3")
-    p.add_argument("--b", required=True, help="three curve degrees, e.g. 2,2,2")
-    _common(p)
-    p.set_defaults(func=_cmd_chern_invariants)
-    p = csub.add_parser("classify")
-    p.add_argument("--a", default="1")
-    p.add_argument("--b", required=True)
-    p.add_argument("--pic", action="store_true", help="assume Pic = Z")
-    p.add_argument("--generic-nl", action="store_true",
-                   help="assume Noether-Lefschetz genericity")
-    _common(p)
-    p.set_defaults(func=_cmd_chern_classify)
-    p = csub.add_parser("enumerate")
-    p.add_argument("--a", default="1")
-    p.add_argument("--bmax", type=int, required=True)
-    p.add_argument("--pic", action="store_true")
-    p.add_argument("--generic-nl", action="store_true")
-    p.add_argument("--golden", default=None, help="golden table directory")
-    p.add_argument("--update", action="store_true",
-                   help="write the golden table instead of comparing")
-    _common(p)
-    p.set_defaults(func=_cmd_chern_enumerate)
-
-    nev = groups.add_parser("nev", help="growth functionals and main theorems")
-    nsub = nev.add_subparsers(dest="cmd", required=True)
-    for name, fn, needs, tol in (
-            ("T", _cmd_nev_T, ("curve", "r"), 1e-8),
-            ("Tscalar", _cmd_nev_Tscalar, ("g", "r"), 1e-8),
-            ("N", _cmd_nev_N, ("curve", "divisor", "r"), 1e-3),
-            ("order", _cmd_nev_order, ("curve", "radii"), 1e-8),
-            ("fmt", _cmd_nev_fmt, ("curve", "divisor", "radii"), 0.02),
-            ("smt", _cmd_nev_smt, ("curve", "divisors", "radii"), 0.05)):
-        p = nsub.add_parser(name)
-        p.add_argument("--input", default=None,
-                       help="JSON payload with curve/divisor/radii/tol")
-        for key in needs:
-            p.add_argument(f"--{key}", default=None, **_NEV_INPUTS[key][0])
-        if name in ("N", "smt"):
-            p.add_argument("--method", default="winding",
-                           choices=["winding", "circle-mean"])
-        _common(p, tol_default=tol)
-        p.set_defaults(func=fn, needs=needs, tol_default=tol)
-
-    borel = groups.add_parser("borel", help="exponential identity engine")
-    bsub = borel.add_subparsers(dest="cmd", required=True)
-    p = bsub.add_parser("analyze")
-    p.add_argument("--input", required=True, help="ExpSum JSON file")
-    _common(p)
-    p.set_defaults(func=_cmd_borel_analyze)
-    p = bsub.add_parser("refute")
-    p.add_argument("--input", required=True, help="ExpSum JSON file")
-    p.add_argument("--radii", default=None)
-    p.add_argument("--factor", type=float, default=10.0)
-    _common(p)
-    p.set_defaults(func=_cmd_borel_refute)
-
-    cover = groups.add_parser("cover", help="cyclic-cover form transport")
-    vsub = cover.add_subparsers(dest="cmd", required=True)
-    p = vsub.add_parser("pushdown")
-    p.add_argument("--b", type=int, required=True, help="branching order")
-    p.add_argument("--form", required=True, help="SymForm JSON file")
-    p.add_argument("--no-norm", dest="norm", action="store_false",
-                   help="push the form as-is (skip the deck-product step)")
-    _common(p)
-    p.set_defaults(func=_cmd_cover_pushdown)
-    p = vsub.add_parser("check")
-    p.add_argument("--form", required=True)
-    p.add_argument("--g1", required=True, help="first coordinate ExpPoly JSON")
-    p.add_argument("--g2", required=True)
-    _common(p)
-    p.set_defaults(func=_cmd_cover_check)
-
-    plane = groups.add_parser("plane", help="plane configuration checks")
-    psub = plane.add_subparsers(dest="cmd", required=True)
-    p = psub.add_parser("intersect")
-    p.add_argument("--input", required=True, help="{'curves': [c1, c2]} JSON")
-    _common(p)
-    p.set_defaults(func=_cmd_plane_intersect)
-    p = psub.add_parser("nc")
-    p.add_argument("--config", required=True, help="Configuration JSON file")
-    _common(p)
-    p.set_defaults(func=_cmd_plane_nc)
-    p = psub.add_parser("engine")
-    p.add_argument("--degrees", required=True, help="e.g. 2,2,3")
-    p.add_argument("--d0max", type=int, required=True)
-    _common(p)
-    p.set_defaults(func=_cmd_plane_engine)
-    p = psub.add_parser("exclusion")
-    p.add_argument("--config", required=True)
-    _common(p)
-    p.set_defaults(func=_cmd_plane_exclusion)
-
-    expf = groups.add_parser("expfun", help="exponential polynomial algebra")
-    esub = expf.add_subparsers(dest="cmd", required=True)
-    p = esub.add_parser("eval")
-    p.add_argument("--f", required=True, help="ExpPoly JSON file")
-    p.add_argument("--point", required=True, help="complex point, e.g. 1+2i")
-    _common(p)
-    p.set_defaults(func=_cmd_expfun_eval)
-    p = esub.add_parser("diff")
-    p.add_argument("--f", required=True)
-    _common(p)
-    p.set_defaults(func=_cmd_expfun_diff)
-    p = esub.add_parser("iszero")
-    p.add_argument("--f", required=True)
-    _common(p)
-    p.set_defaults(func=_cmd_expfun_iszero)
-    p = esub.add_parser("combine")
-    p.add_argument("--op", required=True, choices=["add", "multiply", "scale"])
-    p.add_argument("--f", required=True)
-    p.add_argument("--g", default=None, help="second operand (add/multiply)")
-    p.add_argument("--scalar", default=None, help="rational scalar (scale)")
-    _common(p)
-    p.set_defaults(func=_cmd_expfun_combine)
-
+    for group, (group_help, commands) in COMMANDS.items():
+        if only is not None and group != only[0]:
+            continue
+        sub = groups.add_parser(group, help=group_help).add_subparsers(
+            dest="cmd", required=True)
+        for name, (fn, flags, defaults) in commands.items():
+            if only is not None and name != only[1]:
+                continue
+            p = sub.add_parser(name)
+            for flag, opts in flags:
+                p.add_argument(flag, **opts)
+            p.add_argument("--output", default="-",
+                           help="output file or - for stdout")
+            p.add_argument("--seed", type=int, default=0,
+                           help="seed for any internal randomized schedule")
+            if "tol_default" in defaults:
+                p.add_argument("--tol", type=float, default=None,
+                               help=f"tolerance (default "
+                                    f"{defaults['tol_default']})")
+            p.set_defaults(func=fn, **defaults)
     return top
 
 
+def _parse(argv):
+    """Parse with the named command's parser alone when argv starts with a
+    known group and command and asks for no help; anything else, and any
+    usage error, goes to the full parser, which prints help and errors."""
+    group = COMMANDS.get(argv[0]) if argv else None
+    if group and len(argv) > 1 and argv[1] in group[1] \
+            and "-h" not in argv and "--help" not in argv:
+        try:
+            return build_parser(only=argv[:2]).parse_args(argv)
+        except _UsageError:
+            pass
+    return build_parser().parse_args(argv)
+
+
+def _error(exc, args):
+    """The structured error envelope of one exception."""
+    return {"error": {"type": type(exc).__name__, "message": str(exc)},
+            "meta": _meta(args)}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
-        doc = args.func(args)
+        doc, code = args.func(args), 0
     except Exception as exc:  # structured error envelope, exit 1
-        doc = {"error": {"type": type(exc).__name__, "message": str(exc)},
-               "meta": _meta(args)}
-        _emit(doc, getattr(args, "output", "-"))
+        doc, code = _error(exc, args), 1
+    try:
+        _emit(doc, args.output)
+    except OSError as exc:
+        if args.output == "-":  # stdout itself failed: nowhere to report
+            raise
+        err = SchemaError(f"cannot write {args.output}: {exc}")
+        _emit(_error(err, args), "-")
         return 1
-    _emit(doc, args.output)
-    return 0
+    return code
 
 
 if __name__ == "__main__":

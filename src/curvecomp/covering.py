@@ -19,7 +19,6 @@ three-section morphism reduces to it on smooth branch points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .expfun import ExpPoly
@@ -35,15 +34,28 @@ class NonInvariantFormError(CoveringError):
     pass
 
 
-@dataclass(frozen=True)
 class CyclicCover:
     """Branching order b of the local model (z1, z2) -> (z1^b, z2)."""
 
-    b: int
+    __slots__ = ("b",)
 
-    def __post_init__(self):
-        if self.b < 1:
+    def __init__(self, b: int):
+        if b < 1:
             raise ValueError("branching order must be >= 1")
+        object.__setattr__(self, "b", b)
+
+    def __setattr__(self, *a):
+        raise AttributeError("CyclicCover is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if not isinstance(other, CyclicCover):
+            return NotImplemented
+        return self.b == other.b
+
+    def __hash__(self):
+        return hash((self.b,))
 
     def field(self) -> CycField:
         return CycField(math.lcm(4, self.b))

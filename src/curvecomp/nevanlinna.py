@@ -31,7 +31,6 @@ from __future__ import annotations
 import cmath
 import heapq
 import math
-from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations, zip_longest
 from operator import add, mul
@@ -202,13 +201,14 @@ class HomDivisor:
         return cls(MPoly.from_json(nvars, mono), data.get("degree"))
 
 
-@dataclass
 class GrowthReport:
-    radii: list
-    values: list
-    fitted_slope: float
-    fitted_order: float
-    flags: list = field(default_factory=list)
+    def __init__(self, radii: list, values: list, fitted_slope: float,
+                 fitted_order: float, flags: list = None):
+        self.radii = radii
+        self.values = values
+        self.fitted_slope = fitted_slope
+        self.fitted_order = fitted_order
+        self.flags = [] if flags is None else flags
 
     def to_json(self):
         return {"radii": list(self.radii), "values": list(self.values),
@@ -819,15 +819,17 @@ def order_estimate(curve: ProjCurve, radii, tol: float = 1e-8) -> GrowthReport:
 # main theorem checks
 # ---------------------------------------------------------------------------
 
-@dataclass
 class FmtReport:
-    radii: list
-    counting: list
-    d_times_T: list
-    fitted_C: float
-    max_violation: float
-    defect: float
-    passed: bool
+    def __init__(self, radii: list, counting: list, d_times_T: list,
+                 fitted_C: float, max_violation: float, defect: float,
+                 passed: bool):
+        self.radii = radii
+        self.counting = counting
+        self.d_times_T = d_times_T
+        self.fitted_C = fitted_C
+        self.max_violation = max_violation
+        self.defect = defect
+        self.passed = passed
 
     def to_json(self):
         return {"radii": self.radii, "counting": self.counting,
@@ -901,17 +903,20 @@ def check_general_position(hyperplanes, n: int):
                 f"hyperplanes {list(idx)} are linearly dependent")
 
 
-@dataclass
 class SmtReport:
-    radii: list
-    T: list
-    N: list
-    delta: list
-    fit_slope: float
-    fit_intercept: float
-    relative_residual: float
-    log_factor_T: float
-    passed: bool
+    def __init__(self, radii: list, T: list, N: list, delta: list,
+                 fit_slope: float, fit_intercept: float,
+                 relative_residual: float, log_factor_T: float,
+                 passed: bool):
+        self.radii = radii
+        self.T = T
+        self.N = N
+        self.delta = delta
+        self.fit_slope = fit_slope
+        self.fit_intercept = fit_intercept
+        self.relative_residual = relative_residual
+        self.log_factor_T = log_factor_T
+        self.passed = passed
 
     def to_json(self):
         return {"radii": self.radii, "T": self.T, "N": self.N,

@@ -41,7 +41,6 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from dataclasses import dataclass, field
 from itertools import combinations
 
 from .polys import (MPoly, Poly, biv_gcd, exact_roots, poly_gcd,
@@ -188,12 +187,28 @@ def _change_schedule(seed: int, attempts: int = 6):
 # exact/numeric hybrid points
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class ProjPoint:
     """Projective point with exact coordinates when available."""
 
-    coords: tuple          # CRat triple (exact) or complex triple (numeric)
-    exact: bool
+    __slots__ = ("coords", "exact")
+
+    def __init__(self, coords: tuple, exact: bool):
+        # coords: a CRat triple (exact) or a complex triple (numeric)
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "exact", exact)
+
+    def __setattr__(self, *a):
+        raise AttributeError("ProjPoint is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if not isinstance(other, ProjPoint):
+            return NotImplemented
+        return (self.coords, self.exact) == (other.coords, other.exact)
+
+    def __hash__(self):
+        return hash((self.coords, self.exact))
 
     @classmethod
     def from_exact(cls, cs):
@@ -433,12 +448,13 @@ def _vanishes(poly: MPoly, coords, exact: bool, tol: float) -> bool:
 # normal crossings
 # ---------------------------------------------------------------------------
 
-@dataclass
 class CrossingsReport:
-    passed: bool
-    smooth: list
-    pairwise: list
-    triple_points: list
+    def __init__(self, passed: bool, smooth: list, pairwise: list,
+                 triple_points: list):
+        self.passed = passed
+        self.smooth = smooth
+        self.pairwise = pairwise
+        self.triple_points = triple_points
 
     def to_json(self):
         return {"pass": self.passed, "smooth": self.smooth,
@@ -483,13 +499,14 @@ def fulton_bound(d0: int, m_p: int, m_q: int) -> bool:
     return m_p * (m_p - 1) + m_q * (m_q - 1) <= (d0 - 1) * (d0 - 2)
 
 
-@dataclass
 class CaseVerdict:
-    d0: int
-    pattern: str
-    tangency: str
-    verdict: str              # "impossible" | "survivor"
-    certificate: dict = field(default_factory=dict)
+    def __init__(self, d0: int, pattern: str, tangency: str, verdict: str,
+                 certificate: dict = None):
+        self.d0 = d0
+        self.pattern = pattern
+        self.tangency = tangency
+        self.verdict = verdict    # "impossible" | "survivor"
+        self.certificate = {} if certificate is None else certificate
 
     def to_json(self):
         return {"d0": self.d0, "pattern": self.pattern,
@@ -511,6 +528,8 @@ def two_puncture_case_engine(degrees, d0_max: int):
     if len(degrees) != 3 or min(degrees) < 2 or max(degrees) < 3:
         raise PlaneConfError(
             "engine expects three degrees, all >= 2 with at least one >= 3")
+    if d0_max < 1:
+        raise PlaneConfError(f"d0_max must be >= 1, got {d0_max}")
     verdicts = []
     for d0 in range(1, d0_max + 1):
         for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
@@ -591,11 +610,20 @@ def surviving_cases(verdicts):
 # total tangent lines and the quadric exclusion
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class TangentLine:
-    dual: tuple               # line coefficients, CRat or complex triple
-    point: ProjPoint          # the single contact point
-    exact: bool
+    __slots__ = ("dual", "point", "exact")
+
+    def __init__(self, dual: tuple, point: ProjPoint, exact: bool):
+        # dual: the line's coefficients, a CRat or complex triple; point:
+        # the single contact point
+        object.__setattr__(self, "dual", dual)
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "exact", exact)
+
+    def __setattr__(self, *a):
+        raise AttributeError("TangentLine is immutable")
+
+    __delattr__ = __setattr__
 
     def same_line(self, other: "TangentLine", tol: float = 1e-9) -> bool:
         return _proportional(self.dual, other.dual,
@@ -764,13 +792,14 @@ def _build_tangent_line(curve, dual_of, points_of, lam0, mu0, is_exact):
     return TangentLine(dual, point, is_exact)
 
 
-@dataclass
 class ExclusionReport:
-    vacuous: bool
-    passed: bool
-    candidates: int
-    violations: list
-    notes: list = field(default_factory=list)
+    def __init__(self, vacuous: bool, passed: bool, candidates: int,
+                 violations: list, notes: list = None):
+        self.vacuous = vacuous
+        self.passed = passed
+        self.candidates = candidates
+        self.violations = violations
+        self.notes = [] if notes is None else notes
 
     def to_json(self):
         return {"vacuous": self.vacuous, "pass": self.passed,

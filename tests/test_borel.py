@@ -23,6 +23,20 @@ def term(c, i, j, k, M):
     return ExpTerm(CRat(Fraction(c)), i, j, k, M)
 
 
+def test_term_is_an_immutable_value():
+    t = term(Fraction(1, 2), 1, 0, 2, 3)
+    assert t == term(Fraction(1, 2), 1, 0, 2, 3) != term(1, 1, 0, 2, 3)
+    assert len({t, term(Fraction(1, 2), 1, 0, 2, 3)}) == 1
+    with pytest.raises(AttributeError):
+        t.i = 0
+    with pytest.raises(ValueError, match="outside"):
+        term(1, 4, 0, 0, 3)
+    with pytest.raises(ValueError, match="nonnegative"):
+        term(1, 0, -1, 0, 3)
+    assert AnalysisOutcome("degenerate_input").witness == {}
+    assert AnalysisOutcome("x").witness is not AnalysisOutcome("x").witness
+
+
 def spec_case2_sum():
     """M=2, p1=eta, p2=2*eta, form x^2 - 3/2 xy + 1/2 y^2 on one class."""
     terms = [term(1, 2, 0, 1, 2), term(Fraction(-3, 2), 1, 1, 0, 2),

@@ -14,6 +14,20 @@ def test_plane_normalization():
     assert not CIData([2], (2, 2, 2)).is_plane()
 
 
+def test_cidata_is_an_immutable_value():
+    ci = CIData([], (2, 2, 2))
+    assert ci == CIData([1], [2, 2, 2]) and ci != CIData([1], (2, 2, 3))
+    assert len({ci, CIData([1], (2, 2, 2))}) == 1
+    with pytest.raises(AttributeError):
+        ci.b = (1, 1, 1)
+
+
+def test_verdict_notes_not_shared():
+    a, b = (theorem_main_check(CIData([1], (2, 2, 2)), True)
+            for _ in range(2))
+    assert a.notes == b.notes and a.notes is not b.notes
+
+
 def test_invalid_degrees():
     with pytest.raises(InvalidDegreeError):
         CIData([1], (2, 2))

@@ -1,7 +1,9 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -362,6 +364,84 @@ class TestErrors:
             main(["nosuchgroup"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("b", ["2,2,2", "2,2"])
+    def test_unwritable_output_gives_envelope(self, tmp_path, b):
+        # a result, and an error envelope, that cannot be written go to
+        # stdout as a SchemaError envelope
+        path = str(tmp_path / "missing" / "x.json")
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            code = main(["chern", "invariants", "--b", b, "--output", path])
+        doc = json.loads(buf.getvalue())
+        assert code == 1 and doc["error"]["type"] == "SchemaError"
+        assert doc["error"]["message"].startswith(f"cannot write {path}: ")
+        assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize("d0max", ["-1", "0"])
+    def test_engine_rejects_d0max_below_one(self, tmp_path, d0max):
+        code, doc = run_json(tmp_path, "o.json",
+                             ["plane", "engine", "--degrees", "2,2,3",
+                              "--d0max", d0max])
+        assert code == 1 and doc["error"]["type"] == "PlaneConfError"
+        assert doc["error"]["message"] == f"d0_max must be >= 1, got {d0max}"
+
+
+# the benchmark's command catalogue; "@key" is the path of CATALOGUE_FILES[key]
+CATALOGUE = {
+    "chern invariants": ["--b", "2,2,2"],
+    "chern enumerate": ["--bmax", "3"],
+    "chern classify": ["--a", "5", "--b", "1,2,2", "--generic-nl"],
+    "nev order": ["--curve", "@curve", "--radii", "2,4,8,16,32"],
+    "nev T": ["--curve", "@curve", "--r", "3"],
+    "borel analyze": ["--input", "@sum"],
+    "borel refute": ["--input", "@mixed"],
+    "cover pushdown": ["--b", "2", "--form", "@form"],
+    "cover check": ["--form", "@wedge", "--g1", "@g", "--g2", "@g"],
+    "plane intersect": ["--input", "@pair"],
+    "plane engine": ["--degrees", "2,2,3", "--d0max", "3"],
+    "plane nc": ["--config", "@conf"],
+}
+CATALOGUE_FILES = {
+    "curve": CURVE_EXP, "sum": SUM_SPEC, "form": FORM_DZ1DZ2,
+    "mixed": {"M": 1, "p1": [[0, 1, 0, 1], [1, 1, 0, 1]],
+              "p2": [[0, 1, 0, 1], [0, 1, 0, 1], [1, 1, 0, 1]],
+              "terms": [{"coeff": [1, 1, 0, 1], "i": 1, "j": 0, "k": 0},
+                        {"coeff": [-2, 1, 0, 1], "i": 0, "j": 1, "k": 1}]},
+    "wedge": {"M": 1, "basis": "plain", "coeffs": [
+        {"num": [{"exponents": [1, 0], "coeff": [-1, 1, 0, 1]}]},
+        {"num": [{"exponents": [0, 1], "coeff": [1, 1, 0, 1]}]}]},
+    "g": [{"coeff": [[1, 1, 0, 1]], "exp": [[0, 1, 0, 1], [1, 1, 0, 1]]}],
+    "pair": {"curves": [
+        {"monomials": [{"exponents": [1, 0, 1], "coeff": [1, 1]},
+                       {"exponents": [0, 2, 0], "coeff": [-1, 1]}]},
+        {"monomials": [{"exponents": [0, 1, 0], "coeff": [1, 1]}]}]},
+    "conf": CONF_FLAGGED,
+}
+# modules a command's child process must not load, beyond the ones no
+# command loads (test_command_leaves_mpmath_out checks mpmath)
+NEVER_LOADED = ("dataclasses", "inspect")
+NOT_LOADED = {
+    "chern invariants": ("curvecomp.scalars",),
+    "chern enumerate": ("curvecomp.scalars",),
+    "chern classify": ("curvecomp.scalars",),
+    "borel analyze": ("curvecomp.nevanlinna",),
+}
+
+
+def loaded_modules(tmp_path, argv, modules):
+    """Run argv through cli.main in a child; which of modules it loaded."""
+    argv = argv + ["--output", str(tmp_path / "o.json")]
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = ("import sys; from curvecomp.cli import main; "
+            f"code = main(sys.argv[1:]); mods = {list(modules)!r}; "
+            "print(code, *[m for m in mods if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                         capture_output=True, text=True, check=True)
+    return out.stdout.split()
+
 
 class TestImports:
     @pytest.mark.parametrize("command", ["nev T", "cover pushdown"])
@@ -372,17 +452,19 @@ class TestImports:
         argv = {"nev T": ["nev", "T", "--curve", curve_file, "--r", "3"],
                 "cover pushdown": ["cover", "pushdown", "--b", "2",
                                    "--form", str(form)]}[command]
-        argv += ["--output", str(tmp_path / "o.json")]
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
-        code = ("import sys; from curvecomp.cli import main; "
-                "code = main(sys.argv[1:]); "
-                "print(code, 'mpmath' in sys.modules)")
-        out = subprocess.run([sys.executable, "-c", code, *argv], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.split() == ["0", "False"]
+        assert loaded_modules(tmp_path, argv, ["mpmath"]) == ["0"]
+
+    @pytest.mark.parametrize("command", sorted(CATALOGUE))
+    def test_catalogue_command_loads_only_its_engine(self, tmp_path,
+                                                     command):
+        paths = {}
+        for key, doc in CATALOGUE_FILES.items():
+            paths[key] = tmp_path / f"{key}.json"
+            paths[key].write_text(json.dumps(doc))
+        argv = command.split() + [str(paths[a[1:]]) if a.startswith("@")
+                                  else a for a in CATALOGUE[command]]
+        absent = NEVER_LOADED + NOT_LOADED.get(command, ())
+        assert loaded_modules(tmp_path, argv, absent) == ["0"]
 
 
 class TestDeterminism:

@@ -6,7 +6,8 @@ were written by the code before the planeconf/nevanlinna/cli consolidation
 and pin its output byte for byte: the criterion-9 catalogue, every ``nev``
 command with flags, with ``--input`` and with both, ``plane nc`` and
 ``plane exclusion`` on the flagged configuration, and the ``expfun``
-commands.
+commands.  The ``borel refute`` and ``cover check`` files were written
+later, by the code before the per-command parser.
 
 The data is never rewritten by the test.  To write it on purpose, run
 
@@ -58,11 +59,27 @@ F_EXP = [{"coeff": [ONE, [0, 1, 1, 2]], "exp": [ZERO, ONE]},
           "expconst": [1, 2, 0, 1]}]
 G_EXP = [{"coeff": [[0, 1, 1, 1]], "exp": [ZERO, ONE]},
          {"coeff": [MINUS_ONE], "exp": []}]
+# exponents (i + j) z + (M - i + k) z^2: two rational classes (z, z + 2z^2)
+# and three (adding z^2)
+MIXED_2 = {"M": 1, "p1": [ZERO, ONE], "p2": [ZERO, ZERO, ONE],
+           "terms": [{"coeff": [3, 2, 0, 1], "i": 1, "j": 0, "k": 0},
+                     {"coeff": [-2, 1, 0, 1], "i": 0, "j": 1, "k": 1}]}
+MIXED_3 = {"M": 1, "p1": [ZERO, ONE], "p2": [ZERO, ZERO, ONE],
+           "terms": MIXED_2["terms"] + [
+               {"coeff": [1, 3, 0, 1], "i": 0, "j": 0, "k": 0}]}
+# x2 dz1 - x1 dz2 annihilates (3 e^{2z}, (1/2 - i) e^{2z}), not F_EXP, G_EXP
+FORM_WEDGE = {"M": 1, "basis": "plain", "coeffs": [
+    {"num": [{"exponents": [1, 0], "coeff": MINUS_ONE}]},
+    {"num": [{"exponents": [0, 1], "coeff": ONE}]}]}
+G1_LINE = [{"coeff": [[3, 1, 0, 1]], "exp": [ZERO, [2, 1, 0, 1]]}]
+G2_LINE = [{"coeff": [[1, 2, -1, 1]], "exp": [ZERO, [2, 1, 0, 1]]}]
 
 FILES = {
     "curve": CURVE_EXP, "g": G_SCALAR, "div": DIVISOR,
     "hyps": {"divisors": HYPERPLANES}, "sum": SUM_SPEC, "form": FORM,
     "pair": PAIR, "conf": CONF_FLAGGED, "f": F_EXP, "gexp": G_EXP,
+    "mixed2": MIXED_2, "mixed3": MIXED_3, "wedge": FORM_WEDGE,
+    "g1line": G1_LINE, "g2line": G2_LINE,
     "in_T": {"curve": CURVE_EXP, "r": 3.0},
     "in_T_tol": {"curve": CURVE_EXP["components"], "r": 2.5, "tol": 1e-6},
     "in_Tscalar": {"g": G_SCALAR, "r": 2.0},
@@ -111,6 +128,14 @@ CASES = {
     "nev_smt": ["nev", "smt", "--curve", "@curve", "--divisors", "@hyps",
                 "--radii", "2,3,4,5"],
     "nev_smt_input": ["nev", "smt", "--input", "@in_smt", "--tol", "0.1"],
+    # the rest of the benchmark catalogue
+    "borel_refute": ["borel", "refute", "--input", "@mixed2"],
+    "borel_refute_three_classes": ["borel", "refute", "--input", "@mixed3",
+                                   "--radii", "2,4,8", "--factor", "2"],
+    "cover_check": ["cover", "check", "--form", "@wedge",
+                    "--g1", "@g1line", "--g2", "@g2line"],
+    "cover_check_residual": ["cover", "check", "--form", "@wedge",
+                             "--g1", "@f", "--g2", "@gexp"],
     # plane checks on the flagged configuration
     "plane_nc_flagged": ["plane", "nc", "--config", "@conf"],
     "plane_exclusion_flagged": ["plane", "exclusion", "--config", "@conf"],

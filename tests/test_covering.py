@@ -21,6 +21,15 @@ B2 = CyclicCover(2)
 B3 = CyclicCover(3)
 
 
+def test_cyclic_cover_is_an_immutable_value():
+    assert CyclicCover(2) == B2 and B2 != B3
+    assert len({B2, CyclicCover(2), B3}) == 2
+    with pytest.raises(AttributeError):
+        B2.b = 3
+    with pytest.raises(ValueError, match="branching order"):
+        CyclicCover(0)
+
+
 class TestDeckPullback:
     def test_b2_flips_dz1(self):
         f = SymForm.monomial(2, 1, CRat(1))

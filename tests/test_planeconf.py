@@ -42,6 +42,17 @@ def pt(*coords):
     return ProjPoint.from_exact([CRat(Fraction(c)) for c in coords])
 
 
+def test_points_and_lines_are_immutable():
+    p = pt(2, 4, 6)
+    assert p == pt(1, 2, 3) != pt(1, 2, 4)
+    assert len({p, pt(1, 2, 3)}) == 1
+    line = TangentLine((CRat(0), CRat(0), CRat(1)), p, True)
+    with pytest.raises(AttributeError):
+        p.exact = False
+    with pytest.raises(AttributeError):
+        line.point = pt(1, 0, 0)
+
+
 class TestPlaneCurve:
     def test_repeated_component_rejected(self):
         with pytest.raises(ValueError):
@@ -184,6 +195,11 @@ class TestCaseEngine:
             two_puncture_case_engine((1, 3, 3), 5)
         with pytest.raises(PlaneConfError):
             two_puncture_case_engine((2, 2, 2), 5)
+
+    @pytest.mark.parametrize("d0_max", [0, -1])
+    def test_rejects_d0_max_below_one(self, d0_max):
+        with pytest.raises(PlaneConfError, match="d0_max must be >= 1"):
+            two_puncture_case_engine((2, 2, 3), d0_max)
 
     def test_333_no_survivor(self):
         assert not surviving_cases(two_puncture_case_engine((3, 3, 3), 10))
