@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .expfun import ExpPoly
 from .polys import MPoly, RatFunc, as_crat
 from .scalars import CRat, CycField, CycNum
 
@@ -321,6 +320,8 @@ def annihilation_check(form: SymForm, g1: ExpPoly, g2: ExpPoly):
     Substitutes xi_i = g_i, dxi_i = g_i', collapses to one ExpPoly and
     applies the exact zero test.  Returns (bool, residual ExpPoly).
     """
+    from .expfun import ExpPoly
+
     pf = express_plain_basis(form)
     g1d, g2d = g1.differentiate(), g2.differentiate()
 

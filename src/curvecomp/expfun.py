@@ -21,7 +21,9 @@ syntactic check.
 All values are immutable; operations are pure functions.  Numeric values
 come from one column kernel, :func:`eval_columns`, which evaluates the
 compiled terms of one or several ExpPolys on a whole list of points at
-once; :meth:`ExpPoly.eval_scaled` is that kernel at one point.
+once, one pass per exponent, component and term (an exponent shared by
+several terms is evaluated once, real part included);
+:meth:`ExpPoly.eval_scaled` is that kernel at one point.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from itertools import repeat
 
 from .polys import Poly, as_crat
 from .scalars import CRat, power
@@ -313,6 +316,15 @@ def compile_terms(polys):
     return tuple(expos), tuple(out)
 
 
+def _horner(lead, rest, zs) -> list:
+    """lead folded by out = out * z + a over the non-empty rest, at every z."""
+    a, *more = rest
+    col = [lead * z + a for z in zs]
+    for a in more:
+        col = [x * z + a for x, z in zip(col, zs)]
+    return col
+
+
 def eval_columns(expos, comps, zs, refs: bool = False) -> list:
     """Each component of comps evaluated at every point of zs, by columns.
 
@@ -323,36 +335,41 @@ def eval_columns(expos, comps, zs, refs: bool = False) -> list:
     sum_k |q_k(z)| exp(Re w_k - s), the size v would have without
     cancellation.  Terms more than 745 below s underflow to zero and are
     skipped in v.  The work runs column by column: the Horner pass of each
-    exponent over all points, then each component's scale, then each
-    term's coefficient and value.  Every point sees the float operations
-    of a one-point evaluation in the same order, so a value does not
-    depend on the other points of the batch.
+    exponent over all points and its real part, taken once however many
+    terms share the exponent; then each component's scale; then per term
+    one pass for a polynomial coefficient (a constant one is used as it
+    is) and one for the value, which forms w - s as it goes.  Every point
+    sees the float operations of a one-point evaluation in the same order,
+    so a value does not depend on the other points of the batch.
     """
     n = len(zs)
-    ws = []
-    for w, rest, c in expos:
-        col = [w] * n
-        if rest is not None:
-            for a in rest:
-                col = [x * z + a for x, z in zip(col, zs)]
-            col = [c + x for x in col]
-        ws.append(col)
+    ws = [[w] * n if rest is None else [c + x for x in _horner(w, rest, zs)]
+          for w, rest, c in expos]
+    reals = [[w.real for w in col] for col in ws]
+    cexp, rexp = cmath.exp, math.exp
     out = []
     for terms in comps:
         vs = [0j] * n
         rs = [0.0] * n
-        reals = [[w.real for w in ws[i]] for _, _, i in terms] or [[0.0] * n]
-        ss = reals[0] if len(reals) == 1 else list(map(max, zip(*reals)))
+        if not terms:
+            ss = [0.0] * n
+        elif len(terms) == 1:
+            ss = reals[terms[0][2]]
+        else:
+            ss = list(map(max, *[reals[i] for _, _, i in terms]))
         for q, rest, i in terms:
-            qs = [q] * n
-            for a in rest:
-                qs = [x * z + a for x, z in zip(qs, zs)]
-            es = [w - s for w, s in zip(ws[i], ss)]
-            vs = [v if e.real < -745.0 else v + x * cmath.exp(e)
-                  for v, x, e in zip(vs, qs, es)]
+            if rest:
+                qs = _horner(q, rest, zs)
+                vs = [v if (e := w - s).real < -745.0 else v + x * cexp(e)
+                      for v, x, w, s in zip(vs, qs, ws[i], ss)]
+            else:
+                vs = [v if (e := w - s).real < -745.0 else v + q * cexp(e)
+                      for v, w, s in zip(vs, ws[i], ss)]
             if refs:
-                rs = [r + abs(x) * math.exp(e.real)
-                      for r, x, e in zip(rs, qs, es)]
+                # Re(w - s) is Re w - s, read off the real column
+                xs = map(abs, qs) if rest else repeat(abs(q))
+                rs = [r + x * rexp(wr - s)
+                      for r, x, wr, s in zip(rs, xs, reals[i], ss)]
         out.append((vs, ss, rs) if refs else (vs, ss))
     return out
 

@@ -9,14 +9,17 @@ count.  Every evaluation goes through the column kernel
 :func:`curvecomp.expfun.eval_columns`, bit-identical to evaluating angle by
 angle: each step of the adaptive quadrature evaluates the nodes of all its
 arcs in one call, and each sweep of a circle its whole list of angles, a
-doubled resolution only the new ones.  Since the count does not
-decrease with the radius, the ladder is bisected from its two ends and a
-stretch whose end counts agree is filled without sweeping it.  For entire
-functions with very many zeros a circle-mean variant is available
-(Jensen's identity: N(r) = m(r) - m(r0)); it computes the same quantity and
-is cross-checked against the winding ladder in the tests.  The main
-theorem checks count each function once for all their radii, sharing the
-counts n(t) or the base mean m(r0).
+doubled resolution only the new ones; log||f||^2 combines the components'
+columns in column passes too.  Values are doubles: where a coefficient
+polynomial leaves the double range on the circle the integrand is NaN,
+and the quadrature raises QuadratureError rather than return a value.
+Since the count does not decrease with the radius, the ladder is bisected
+from its two ends and a stretch whose end counts agree is filled without
+sweeping it.  For entire functions with very many zeros a circle-mean
+variant is available (Jensen's identity: N(r) = m(r) - m(r0)); it computes
+the same quantity and is cross-checked against the winding ladder in the
+tests.  The main theorem checks count each function once for all their
+radii, sharing the counts n(t) or the base mean m(r0).
 
 All radial normalizations use r0 = 1.  The paper bounds carry O(1) slack;
 every check here therefore fits one constant (or one a*log r + b line) per
@@ -101,20 +104,32 @@ class ProjCurve:
         return self.log_norm_sqs([z])[0]
 
     def log_norm_sqs(self, zs) -> list:
-        """log_norm_sq at every point of zs, in one call to eval_columns."""
-        cols = [[s + math.log(abs(v)) if v != 0 else None
-                 for v, s in zip(vs, ss)]
+        """log_norm_sq at every point of zs, in one call to eval_columns.
+
+        The components are combined in column passes: the column of
+        log|f_j| per component (-inf where f_j vanishes), their maximum m,
+        the sum a of exp(2 (log|f_j| - m)) one component at a time, and
+        2 m + log a.  A vanishing component adds exp(-inf) = 0.0 to the
+        sum, so it leaves it as it was; where every component vanishes
+        the result is -inf, and a NaN anywhere gives NaN.
+        """
+        ninf = float("-inf")
+        log, exp = math.log, math.exp
+        cols = [[s + log(abs(v)) if v else ninf for v, s in zip(vs, ss)]
                 for vs, ss in eval_columns(*self.compiled(), zs)]
-        out = []
-        for logs in zip(*cols):
-            logs = [l for l in logs if l is not None]
-            if not logs:
-                out.append(float("-inf"))
-                continue
-            m = max(logs)
-            acc = sum([math.exp(2.0 * (l - m)) for l in logs])
-            out.append(2.0 * m + math.log(acc))
-        return out
+        ms = list(map(max, *cols)) if len(cols) > 1 else cols[0]
+        if ninf in ms:
+            # m = -inf only where the first component vanishes and no other
+            # is above -inf: take m = 0 there, so that the sum is 0.0 where
+            # all vanish and NaN where one is NaN
+            ms = [m if m > ninf else 0.0 for m in ms]
+        # the terms are added left to right, as sum() does on Python 3.11
+        # (3.12's sum compensates its additions, which would move the
+        # last bits)
+        acc = [exp(2.0 * (l - m)) for l, m in zip(cols[0], ms)]
+        for col in cols[1:]:
+            acc = [a + exp(2.0 * (l - m)) for a, l, m in zip(acc, col, ms)]
+        return [2.0 * m + log(a) if a else ninf for m, a in zip(ms, acc)]
 
     def check_no_common_zeros(self, samples: int = 64, seed: int = 0) -> bool:
         """Best-effort check that the components share no zero.
@@ -301,7 +316,10 @@ def integrate_periodic(fn, tol: float, splits=(), smooth: bool = False):
     the parts of a refined arc) go to fn in one call.  A node whose value
     is NaN or -inf (a zero of log|h| hit exactly), on an arc whose values
     do not sum to a number above -inf, is evaluated again 1e-9 further
-    on, all such nodes of a step in one more call.
+    on, all such nodes of a step in one more call.  An arc whose integral
+    or error estimate is still NaN after that raises QuadratureError at
+    once: refining it would give NaN again, and a NaN estimate would pass
+    for convergence.
 
     splits holds (angle, width) pairs: the circle is cut at each angle (no
     splits: one arc from 0), and a positive width marks a transition of
@@ -333,6 +351,10 @@ def integrate_periodic(fn, tol: float, splits=(), smooth: bool = False):
         out = []
         for (a, b, wa, wb), (_, h), block in zip(parts, halves, blocks):
             val, err = _gk15(block, h, smooth)
+            if val != val or err != err:
+                raise QuadratureError(
+                    f"integrand is not a number on the arc [{a:g}, {b:g}]"
+                    ": a value out of the floating range?")
             unseen = _UNSEEN * (b - a)
             floor = (2.0 * wa if wa < unseen else 0.0) + (
                 2.0 * wb if wb < unseen else 0.0)
@@ -517,8 +539,11 @@ def characteristic_scalar(g: ExpPoly, r: float, tol: float = 1e-8) -> float:
     # the corners of log+ lie near the switching angles against the
     # constant 1, moved by the coefficients and the other terms
     splits = _switching_splits(g.compiled()[0], r, log_plus=True)
+    # log+ is max(0.0, u) except that NaN stays NaN for the quadrature to
+    # reject (max(0.0, nan) is 0.0)
     val, _ = integrate_periodic(
-        lambda ths: [max(0.0, u) for u in log_abs(ths)], tol * 2.0 * math.pi,
+        lambda ths: [0.0 if u <= 0.0 else u for u in log_abs(ths)],
+        tol * 2.0 * math.pi,
         splits + _zero_crossings(log_abs, splits))
     return val / (2.0 * math.pi)
 

@@ -271,6 +271,19 @@ class TestErrors:
             f"missing '{field}': give --{field} or put it in the --input "
             f"payload")
 
+    def test_T_beyond_float_range_gives_envelope(self, tmp_path):
+        # [1 : z^150] at r = 1000: |z^150| exceeds the double range
+        zero, one = [0, 1, 0, 1], [1, 1, 0, 1]
+        curve = {"components": [[{"coeff": [one], "exp": []}],
+                                [{"coeff": [zero] * 150 + [one],
+                                  "exp": []}]]}
+        p = tmp_path / "curve.json"
+        p.write_text(json.dumps(curve))
+        code, doc = run_json(tmp_path, "o.json",
+                             ["nev", "T", "--curve", str(p), "--r", "1000"])
+        assert code == 1 and doc["error"]["type"] == "QuadratureError"
+        assert "values" not in doc
+
     def test_empty_divisor_monomials_is_bad_input(self, tmp_path):
         p = tmp_path / "in.json"
         p.write_text(json.dumps({"curve": CURVE_EXP, "r": 2.0,
@@ -425,6 +438,7 @@ NOT_LOADED = {
     "chern enumerate": ("curvecomp.scalars",),
     "chern classify": ("curvecomp.scalars",),
     "borel analyze": ("curvecomp.nevanlinna",),
+    "cover pushdown": ("curvecomp.expfun",),
 }
 
 

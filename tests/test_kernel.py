@@ -68,7 +68,8 @@ def ref_log_norm_sq(curve, z):
 
 
 def bits(x):
-    """Float fields as hex, so that signed zeros count too."""
+    """Float fields as hex, so that signed zeros count too; every NaN reads
+    'nan', so that NaN matches NaN as by isnan."""
     if isinstance(x, tuple):
         return tuple(bits(y) for y in x)
     if isinstance(x, complex):
@@ -77,8 +78,26 @@ def bits(x):
 
 
 def assert_identical(got, want):
-    assert got == want
     assert bits(got) == bits(want)
+
+
+def reference(fn, zs):
+    """fn at every point of zs, or OverflowError if it raises that at one:
+    abs() of a complex raises when the modulus passes the double range
+    while both parts are finite, in the reference as in the kernel."""
+    try:
+        return tuple(fn(z) for z in zs)
+    except OverflowError:
+        return OverflowError
+
+
+def assert_matches(kernel, want):
+    """kernel() is want bit for bit, or raises as the reference did."""
+    if want is OverflowError:
+        with pytest.raises(OverflowError):
+            kernel()
+    else:
+        assert_identical(tuple(kernel()), want)
 
 
 def points(seed, n=40):
@@ -145,10 +164,23 @@ def vanishing_at(z):
 NODE_Z = 2.5 * complex(math.cos(NODE_THETA), math.sin(NODE_THETA))
 NODE_ZERO = vanishing_at(NODE_Z)
 
+# a constant coefficient whose term underflows at |z| = 40, as UNDERFLOW's
+# polynomial one does
+UNDERFLOW_CONST = E_XI2 + E_XI.scale(3)
+# z^800 overflows to NaN from |z| of about 2.4 on (NODE_Z among them) and
+# underflows to an exact 0 below about 0.4
+Z800 = ExpPoly.from_poly(poly(*[0] * 800, 1))
+# B + B e^{iz} with B = 3 * 2^1022: |v| is inf where the two terms add up
+# past the double range, at z = 0, 1 and -i among others
+BIG = Fraction(3 * 2 ** 1022)
+OVERFLOW = ExpPoly([(poly(BIG), Poly()), (poly(BIG), poly(0, cr(0, 1)))])
+
 FUNCTIONS = {"zero": ZERO, "one": ONE, "poly_part": POLY_PART,
              "tagged": TAGGED, "mixed": MIXED, "underflow": UNDERFLOW,
              "exp_minus_one": E_XI - ONE, "node_zero": NODE_ZERO,
-             "node_zero_exp": NODE_ZERO * E_XI2 + ZERO}
+             "node_zero_exp": NODE_ZERO * E_XI2 + ZERO,
+             "underflow_const": UNDERFLOW_CONST, "z800": Z800,
+             "overflow": OVERFLOW}
 
 CURVES = {
     # 4 terms, 2 distinct exponents shared between components
@@ -160,6 +192,14 @@ CURVES = {
     # one component vanishes exactly at NODE_Z, or both do
     "node_zero": ProjCurve([NODE_ZERO, E_XI2, UNDERFLOW]),
     "node_zero_only": ProjCurve([ZERO, NODE_ZERO]),
+    "node_zero_last": ProjCurve([E_XI, NODE_ZERO]),
+    "node_zero_twice": ProjCurve([NODE_ZERO, NODE_ZERO * E_XI2]),
+    # at NODE_Z the first component vanishes and the second is NaN
+    "node_zero_nan": ProjCurve([NODE_ZERO, Z800]),
+    "overflow": ProjCurve([E_XI, OVERFLOW, NODE_ZERO]),
+    "underflow_const": ProjCurve([UNDERFLOW_CONST, POLY_PART]),
+    "single": ProjCurve([MIXED]),
+    "single_term": ProjCurve([E_XI2]),
 }
 
 
@@ -193,8 +233,8 @@ def test_kernel_batches_match_reference(name):
 def test_log_norm_sqs_batches_match_reference(name):
     c = CURVES[name]
     for zs in batches(seed=400 + len(name)):
-        assert_identical(tuple(c.log_norm_sqs(zs)),
-                         tuple(ref_log_norm_sq(c, z) for z in zs))
+        assert_matches(lambda: c.log_norm_sqs(zs),
+                       reference(lambda z: ref_log_norm_sq(c, z), zs))
 
 
 def test_kernel_serves_components_of_a_curve():
@@ -218,6 +258,13 @@ def test_eval_unit_matches_reference(name):
     """The batched circle sweep, angle by angle against ref_eval_unit."""
     f = FUNCTIONS[name]
     for radius, thetas in grids(seed=100 + len(name)):
+        # the sweep takes |v| at every angle before its near-zero test
+        if reference(lambda t: abs(ref_eval_unit(
+                f, radius * complex(math.cos(t), math.sin(t)))[0]),
+                thetas) is OverflowError:
+            with pytest.raises(OverflowError):
+                _circle_values(f, radius, thetas)
+            continue
         want, bad = ref_circle_values(f, radius, thetas)
         if bad is None:
             assert_identical(tuple(_circle_values(f, radius, thetas)),
@@ -246,7 +293,8 @@ def test_near_zero_names_first_failing_angle():
 def test_log_norm_sq_matches_reference(name):
     c = CURVES[name]
     for z in points(seed=200 + len(name)):
-        assert_identical(c.log_norm_sq(z), ref_log_norm_sq(c, z))
+        assert_matches(lambda: [c.log_norm_sq(z)],
+                       reference(lambda z: ref_log_norm_sq(c, z), [z]))
 
 
 def test_cases_are_exercised():
@@ -261,6 +309,15 @@ def test_cases_are_exercised():
     v, s = UNDERFLOW.eval_scaled(40.0)
     assert s == 1600.0 and v == 1.0
     assert ref_eval_unit(UNDERFLOW, 40.0)[1] == 1.0
+    v, s = UNDERFLOW_CONST.eval_scaled(40.0)
+    assert s == 1600.0 and v == 1.0
+    assert Z800.eval_scaled(0.3) == (0j, 0.0)
+    assert math.isnan(abs(Z800.eval_scaled(NODE_Z)[0]))
+    assert math.isnan(CURVES["node_zero_nan"].log_norm_sq(NODE_Z))
+    assert CURVES["node_zero_twice"].log_norm_sq(NODE_Z) == float("-inf")
+    assert all(abs(OVERFLOW.eval_scaled(z)[0]) == math.inf
+               for z in (0j, 1 + 0j, -1j))
+    assert math.isnan(CURVES["overflow"].log_norm_sq(0j))
 
 
 def test_curve_lists_each_exponent_once():

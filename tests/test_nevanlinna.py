@@ -10,9 +10,10 @@ import pytest
 from curvecomp import nevanlinna
 from curvecomp.expfun import ExpPoly
 from curvecomp.nevanlinna import (DegenerateCurveError, GeneralPositionError,
-                                  HomDivisor, ProjCurve, characteristic,
-                                  characteristic_scalar, counting,
-                                  counting_entire, fit_linear, fmt_check,
+                                  HomDivisor, ProjCurve, QuadratureError,
+                                  characteristic, characteristic_scalar,
+                                  counting, counting_entire, fit_linear,
+                                  fmt_check,
                                   integrate_periodic, log_bound_factor,
                                   circle_log_mean, order_estimate,
                                   rational_growth_test,
@@ -616,6 +617,37 @@ class TestQuadrature:
                                   2 * math.pi, cuts=[mp.pi / 2, 3 * mp.pi / 2])
         assert circle_log_mean(h, 2 * math.pi, tol=tol) == pytest.approx(
             want, abs=tol)
+
+    def test_nan_integrand_raises_at_once(self):
+        # the first step and its retry, no refinement: a NaN estimate used
+        # to pass for convergence and come back as the integral
+        calls = []
+
+        def nan(thetas):
+            calls.append(len(thetas))
+            return [float("nan")] * len(thetas)
+        with pytest.raises(QuadratureError, match="not a number"):
+            integrate_periodic(nan, 1e-8)
+        assert calls == [15, 15]
+
+    @pytest.mark.parametrize("d, r", [(150, 1000.0), (120, 400.0),
+                                      (400, 10.0)])
+    def test_characteristic_beyond_float_range_raises(self, d, r):
+        # |z^d| exceeds the double range on the circle
+        zd = ExpPoly.from_poly(poly(*[0] * d, 1))
+        with pytest.raises(QuadratureError, match="not a number"):
+            characteristic(curve(ONE, zd), r)
+
+    @pytest.mark.parametrize("functional", [
+        circle_log_mean, characteristic_scalar,
+        lambda h, r: counting_entire(h, r, method="circle-mean")],
+        ids=["circle_log_mean", "characteristic_scalar", "counting_entire"])
+    def test_log_means_beyond_float_range_raise(self, functional):
+        # the means came back as NaN, and log+ made NaN 0.0, so the scalar
+        # T was 0.0 where about 1381.55 is due
+        h = ExpPoly.from_poly(poly(-1, *[0] * 199, 1))
+        with pytest.raises(QuadratureError, match="not a number"):
+            functional(h, 1000.0)
 
     def test_log_factor(self):
         radii = [4, 8, 16, 32]
