@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from itertools import combinations
 
+from . import Frozen, Value
 from .expfun import ExpPoly
 from .polys import Poly, as_crat, exact_roots, squarefree_decomposition
 from .scalars import CRat
@@ -43,7 +44,7 @@ class InconsistentCase2Error(BorelError):
     pass
 
 
-class ExpTerm:
+class ExpTerm(Value):
     """One summand: coeff * exp((i+j)p1 + (M-i+k)p2) * (p1')^i (p2')^(M-i)."""
 
     __slots__ = ("coeff", "i", "j", "k", "M")
@@ -59,28 +60,15 @@ class ExpTerm:
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "M", M)
 
-    def __setattr__(self, *a):
-        raise AttributeError("ExpTerm is immutable")
-
-    __delattr__ = __setattr__
-
-    def _data(self):
+    def _key(self):
         return (self.coeff, self.i, self.j, self.k, self.M)
-
-    def __eq__(self, other):
-        if not isinstance(other, ExpTerm):
-            return NotImplemented
-        return self._data() == other._data()
-
-    def __hash__(self):
-        return hash(self._data())
 
     def to_json(self):
         return {"coeff": self.coeff.to_json(), "i": self.i, "j": self.j,
                 "k": self.k}
 
 
-class ExpSum:
+class ExpSum(Frozen):
     """A collection of ExpTerms over shared exponent polynomials p1, p2."""
 
     __slots__ = ("terms", "p1", "p2", "M")
@@ -98,9 +86,6 @@ class ExpSum:
         object.__setattr__(self, "p1", p1)
         object.__setattr__(self, "p2", p2)
         object.__setattr__(self, "M", M)
-
-    def __setattr__(self, *a):
-        raise AttributeError("ExpSum is immutable")
 
     def subset(self, indices) -> "ExpSum":
         return ExpSum([self.terms[i] for i in indices], self.p1, self.p2, self.M)
@@ -418,8 +403,7 @@ def _strip_common_poly_zeros(components):
 
 
 def case1_refute(subset, radii=(4.0, 8.0, 16.0, 32.0),
-                 factor_threshold: float = 10.0,
-                 n_method: str = "circle-mean") -> Case1Report:
+                 factor_threshold: float = 10.0) -> Case1Report:
     """Numeric witness that a mixed-class identity cannot hold.
 
     Accepts either an ExpSum whose terms span several rational classes, or a
@@ -464,7 +448,7 @@ def case1_refute(subset, radii=(4.0, 8.0, 16.0, 32.0),
     if total.is_zero():
         try:
             smt = smt_defect_on_sum_relation(components, radii,
-                                             n_method=n_method)
+                                             n_method="circle-mean")
         except Exception:
             smt = None
     refuted = factor >= factor_threshold

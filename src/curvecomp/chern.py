@@ -15,12 +15,14 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement
 
+from . import Value
+
 
 class InvalidDegreeError(ValueError):
     pass
 
 
-class CIData:
+class CIData(Value):
     """Degrees of a complete-intersection surface with a 3-component curve.
 
     `a` empty means the plane; it is normalized to the single degree-1
@@ -41,18 +43,8 @@ class CIData:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
-    def __setattr__(self, *a):
-        raise AttributeError("CIData is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if not isinstance(other, CIData):
-            return NotImplemented
-        return (self.a, self.b) == (other.a, other.b)
-
-    def __hash__(self):
-        return hash((self.a, self.b))
+    def _key(self):
+        return (self.a, self.b)
 
     @property
     def r(self) -> int:
@@ -77,7 +69,7 @@ class CIData:
         return all(x == 1 for x in self.a)
 
 
-class LogChernReport:
+class LogChernReport(Value):
     """Logarithmic Chern data of one surface-with-curve configuration.
 
     Holds only the degree data, as ints in slots: A = prod a_i, a_sum =
@@ -104,19 +96,8 @@ class LogChernReport:
             raise AssertionError(
                 f"internal identity broken: {self.c1sq_minus_c2} != {ident}")
 
-    def __setattr__(self, *a):
-        raise AttributeError("LogChernReport is immutable")
-
-    def _data(self):
+    def _key(self):
         return (self.A, self.a_sum, self.r, self.b1, self.b2, self.b3)
-
-    def __eq__(self, other):
-        if not isinstance(other, LogChernReport):
-            return NotImplemented
-        return self._data() == other._data()
-
-    def __hash__(self):
-        return hash(self._data())
 
     @property
     def euler_surface(self) -> int:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from . import Frozen, Value
 from .polys import MPoly, RatFunc, as_crat
 from .scalars import CRat, CycField, CycNum
 
@@ -33,7 +34,7 @@ class NonInvariantFormError(CoveringError):
     pass
 
 
-class CyclicCover:
+class CyclicCover(Value):
     """Branching order b of the local model (z1, z2) -> (z1^b, z2)."""
 
     __slots__ = ("b",)
@@ -43,18 +44,8 @@ class CyclicCover:
             raise ValueError("branching order must be >= 1")
         object.__setattr__(self, "b", b)
 
-    def __setattr__(self, *a):
-        raise AttributeError("CyclicCover is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if not isinstance(other, CyclicCover):
-            return NotImplemented
-        return self.b == other.b
-
-    def __hash__(self):
-        return hash((self.b,))
+    def _key(self):
+        return (self.b,)
 
     def field(self) -> CycField:
         return CycField(math.lcm(4, self.b))
@@ -77,7 +68,7 @@ def _as_ratfunc(c) -> RatFunc:
     return RatFunc.const(as_crat(c))
 
 
-class SymForm:
+class SymForm(Frozen):
     """Symmetric M-form with reduced rational-function coefficients.
 
     basis "plain":  sum_i c_i (d1)^i (d2)^(M-i)
@@ -98,9 +89,6 @@ class SymForm:
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "coeffs", tuple(cs))
         object.__setattr__(self, "var_names", tuple(var_names))
-
-    def __setattr__(self, *a):
-        raise AttributeError("SymForm is immutable")
 
     @classmethod
     def monomial(cls, M: int, i: int, coeff, basis: str = PLAIN,

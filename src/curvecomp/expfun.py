@@ -33,6 +33,7 @@ import math
 from fractions import Fraction
 from itertools import repeat
 
+from . import Frozen, Value
 from .polys import Poly, as_crat
 from .scalars import CRat, power
 
@@ -41,7 +42,7 @@ class EvalOverflowError(ArithmeticError):
     """A term's exponent exceeds the floating-point range at the point."""
 
 
-class ExpTermRec:
+class ExpTermRec(Value):
     """One canonical term q(x)*exp(c)*exp(P(x)); P has zero constant term."""
 
     __slots__ = ("coeff", "expo", "expconst")
@@ -51,21 +52,14 @@ class ExpTermRec:
         object.__setattr__(self, "expo", expo)
         object.__setattr__(self, "expconst", expconst)
 
-    def __setattr__(self, *a):
-        raise AttributeError("term is immutable")
-
-    def key(self):
+    def sort_key(self):
         return (self.expo.sort_key(), self.expconst.sort_key())
 
-    def __eq__(self, other):
-        return (self.coeff, self.expo, self.expconst) == \
-            (other.coeff, other.expo, other.expconst)
-
-    def __hash__(self):
-        return hash((self.coeff, self.expo, self.expconst))
+    def _key(self):
+        return (self.coeff, self.expo, self.expconst)
 
 
-class ExpPoly:
+class ExpPoly(Frozen):
     """Canonical finite sum of q_k(x) * exp(c_k + P_k(x))."""
 
     __slots__ = ("terms", "_kernel")
@@ -93,12 +87,9 @@ class ExpPoly:
         for (expo, const), coeff in merged.items():
             if not coeff.is_zero():
                 rec.append(ExpTermRec(coeff, expo, const))
-        rec.sort(key=ExpTermRec.key)
+        rec.sort(key=ExpTermRec.sort_key)
         object.__setattr__(self, "terms", tuple(rec))
         object.__setattr__(self, "_kernel", None)
-
-    def __setattr__(self, *a):
-        raise AttributeError("ExpPoly is immutable")
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -268,7 +259,7 @@ class ExpPoly:
 # Evaluation reads only plain complex data compiled once from the exact terms,
 # and one routine, eval_columns, evaluates it on a list of points: a single
 # point is a batch of one, and a circle sweep or a quadrature refinement is
-# one call.  Every float operation is the one Poly.eval_complex and
+# one call.  Every float operation is the one Poly.eval(z, complex) and
 # CRat.to_complex would perform, in the same order, so values are bit-identical
 # to evaluating the exact terms directly, whatever the batch.
 

@@ -38,7 +38,8 @@ from functools import reduce
 from itertools import combinations, zip_longest
 from operator import add, mul
 
-from .expfun import ExpPoly, compile_terms, eval_columns
+from . import Frozen
+from .expfun import EvalOverflowError, ExpPoly, compile_terms, eval_columns
 from .polys import MPoly, Poly, det_field
 from .scalars import CRat
 
@@ -71,7 +72,7 @@ class DegenerateCurveError(NevanlinnaError):
 # domain types
 # ---------------------------------------------------------------------------
 
-class ProjCurve:
+class ProjCurve(Frozen):
     """Entire curve [f_0 : ... : f_n] with ExpPoly components."""
 
     __slots__ = ("components", "_kernel")
@@ -84,9 +85,6 @@ class ProjCurve:
             raise ValueError("all components are identically zero")
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "_kernel", None)
-
-    def __setattr__(self, *a):
-        raise AttributeError("ProjCurve is immutable")
 
     @property
     def n(self) -> int:
@@ -131,20 +129,20 @@ class ProjCurve:
             acc = [a + exp(2.0 * (l - m)) for a, l, m in zip(acc, col, ms)]
         return [2.0 * m + log(a) if a else ninf for m, a in zip(ms, acc)]
 
-    def check_no_common_zeros(self, samples: int = 64, seed: int = 0) -> bool:
+    def check_no_common_zeros(self) -> bool:
         """Best-effort check that the components share no zero.
 
         Single-term components vanish exactly on their coefficient
-        polynomial, so that case is decided by an exact gcd; otherwise a
-        random sample probes for very small joint values (heuristic only).
+        polynomial, so that case is decided by an exact gcd; otherwise 64
+        seeded random points probe for very small joint values (heuristic).
         """
         if all(len(c.terms) == 1 for c in self.components):
             from .polys import poly_gcd_many
             g = poly_gcd_many([c.terms[0].coeff for c in self.components])
             return g.degree < 1
         import random
-        rng = random.Random(seed)
-        for _ in range(samples):
+        rng = random.Random(0)
+        for _ in range(64):
             z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
             if self.log_norm_sq(z) < -80.0:
                 return False
@@ -158,7 +156,7 @@ class ProjCurve:
         return cls(ExpPoly.from_json(c) for c in data["components"])
 
 
-class HomDivisor:
+class HomDivisor(Frozen):
     """Divisor cut out by a homogeneous polynomial with exact coefficients."""
 
     __slots__ = ("poly", "degree")
@@ -173,9 +171,6 @@ class HomDivisor:
             raise ValueError(f"stated degree {degree} != actual {d}")
         object.__setattr__(self, "poly", poly)
         object.__setattr__(self, "degree", d)
-
-    def __setattr__(self, *a):
-        raise AttributeError("HomDivisor is immutable")
 
     @classmethod
     def hyperplane(cls, coeffs) -> "HomDivisor":
@@ -207,13 +202,12 @@ class HomDivisor:
         return {"monomials": self.poly.to_json(), "degree": self.degree}
 
     @classmethod
-    def from_json(cls, data, nvars=None):
+    def from_json(cls, data):
         mono = data["monomials"]
         if not mono:
             raise ValueError("divisor 'monomials' list is empty")
-        if nvars is None:
-            nvars = len(mono[0]["exponents"])
-        return cls(MPoly.from_json(nvars, mono), data.get("degree"))
+        return cls(MPoly.from_json(len(mono[0]["exponents"]), mono),
+                   data.get("degree"))
 
 
 class GrowthReport:
@@ -319,7 +313,8 @@ def integrate_periodic(fn, tol: float, splits=(), smooth: bool = False):
     on, all such nodes of a step in one more call.  An arc whose integral
     or error estimate is still NaN after that raises QuadratureError at
     once: refining it would give NaN again, and a NaN estimate would pass
-    for convergence.
+    for convergence.  So does an OverflowError from fn, which abs() of a
+    complex raises where its modulus alone leaves the floating range.
 
     splits holds (angle, width) pairs: the circle is cut at each angle (no
     splits: one arc from 0), and a positive width marks a transition of
@@ -340,14 +335,18 @@ def integrate_periodic(fn, tol: float, splits=(), smooth: bool = False):
         """Heap entries of the arcs (a, b, width at a, width at b)."""
         halves = [(0.5 * (a + b), 0.5 * (b - a)) for a, b, _, _ in parts]
         nodes = [c + h * x for c, h in halves for x in _X15]
-        fs = fn(nodes)
-        blocks = [fs[k:k + 15] for k in range(0, len(fs), 15)]
-        redo = [15 * j + k for j, block in enumerate(blocks)
-                if not sum(block) > float("-inf")
-                for k, v in enumerate(block) if not v > float("-inf")]
-        if redo:
-            for k, v in zip(redo, fn([nodes[k] + 1e-9 for k in redo])):
-                blocks[k // 15][k % 15] = v
+        try:
+            fs = fn(nodes)
+            blocks = [fs[k:k + 15] for k in range(0, len(fs), 15)]
+            redo = [15 * j + k for j, block in enumerate(blocks)
+                    if not sum(block) > float("-inf")
+                    for k, v in enumerate(block) if not v > float("-inf")]
+            if redo:
+                for k, v in zip(redo, fn([nodes[k] + 1e-9 for k in redo])):
+                    blocks[k // 15][k % 15] = v
+        except OverflowError as exc:
+            raise QuadratureError(f"integrand out of the floating range: "
+                                  f"{exc}") from exc
         out = []
         for (a, b, wa, wb), (_, h), block in zip(parts, halves, blocks):
             val, err = _gk15(block, h, smooth)
@@ -539,12 +538,16 @@ def characteristic_scalar(g: ExpPoly, r: float, tol: float = 1e-8) -> float:
     # the corners of log+ lie near the switching angles against the
     # constant 1, moved by the coefficients and the other terms
     splits = _switching_splits(g.compiled()[0], r, log_plus=True)
+    try:
+        splits += _zero_crossings(log_abs, splits)
+    except OverflowError as exc:
+        raise QuadratureError(f"log|g| out of the floating range: "
+                              f"{exc}") from exc
     # log+ is max(0.0, u) except that NaN stays NaN for the quadrature to
     # reject (max(0.0, nan) is 0.0)
     val, _ = integrate_periodic(
         lambda ths: [0.0 if u <= 0.0 else u for u in log_abs(ths)],
-        tol * 2.0 * math.pi,
-        splits + _zero_crossings(log_abs, splits))
+        tol * 2.0 * math.pi, splits)
     return val / (2.0 * math.pi)
 
 
@@ -580,14 +583,19 @@ def _circle_values(h: ExpPoly, radius: float, thetas) -> list:
     return vs
 
 
-def _winding_pass(h: ExpPoly, radius: float, vals: list,
-                  max_depth: int = 54):
+_SWEEP0 = 256        # angles of the first sweep of a circle
+_MAX_DEPTH = 54      # bisections of one phase step, to 2^-54 of the step
+
+
+def _winding_pass(h: ExpPoly, radius: float, vals: list):
     """One adaptive phase-continuation sweep; returns total phase / 2pi.
 
     vals holds h's values at the angles 2pi k / n, k < n.  A step of more
     than pi/2 in phase is bisected, each midpoint evaluated on its own.
     The steps are added to one running total from the last to the first,
-    a bisected one depth first from its upper half.
+    a bisected one depth first from its upper half.  A NaN step (a value
+    out of the floating range) raises EvalOverflowError at once:
+    bisecting it, or nudging the radius, would meet NaN again.
     """
     n = len(vals)
     half_pi = 0.5 * math.pi
@@ -605,7 +613,11 @@ def _winding_pass(h: ExpPoly, radius: float, vals: list,
             if abs(d) <= half_pi:
                 total += d
                 continue
-            if depth >= max_depth:
+            if d != d:
+                raise EvalOverflowError(
+                    f"h is not a number on r={radius} near theta={a}: "
+                    f"a value out of the floating range")
+            if depth >= _MAX_DEPTH:
                 raise WindingError(f"phase jump unresolved at r={radius}; "
                                    f"zero on the circle?")
             mth = 0.5 * (a + b)
@@ -616,26 +628,32 @@ def _winding_pass(h: ExpPoly, radius: float, vals: list,
     return total / (2.0 * math.pi)
 
 
-def winding_number(h: ExpPoly, radius: float, n0: int = 256) -> int:
+def winding_number(h: ExpPoly, radius: float) -> int:
     """Zeros of h inside the circle, by verified phase continuation.
 
     Two consecutive sweep resolutions must agree; a result further than 0.1
     from an integer is an error.  The grid of angles 2pi k / n is swept
-    once: each doubling of n evaluates only the new odd-index angles, the
-    even ones recurring bit for bit.
+    once from n = _SWEEP0: each doubling of n evaluates only the new
+    odd-index angles, the even ones recurring bit for bit.  A value out of
+    the floating range raises EvalOverflowError, which zero_count does not
+    retry.
     """
     prev = None
-    n = n0
+    n = _SWEEP0
     vals = None
     while n <= (1 << 17):
-        if vals is None:
-            vals = _circle_values(
-                h, radius, [2.0 * math.pi * k / n for k in range(n)])
-        else:
-            odd = _circle_values(
-                h, radius, [2.0 * math.pi * k / n for k in range(1, n, 2)])
-            vals = [v for pair in zip(vals, odd) for v in pair]
-        w = _winding_pass(h, radius, vals)
+        try:
+            if vals is None:
+                vals = _circle_values(
+                    h, radius, [2.0 * math.pi * k / n for k in range(n)])
+            else:
+                odd = _circle_values(h, radius, [2.0 * math.pi * k / n
+                                                 for k in range(1, n, 2)])
+                vals = [v for pair in zip(vals, odd) for v in pair]
+            w = _winding_pass(h, radius, vals)
+        except OverflowError as exc:
+            raise EvalOverflowError(
+                f"h leaves the floating range on r={radius}: {exc}") from exc
         k = round(w)
         if abs(w - k) > 0.1:
             raise WindingError(

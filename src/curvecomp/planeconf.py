@@ -43,6 +43,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+from . import Frozen, Value
 from .polys import (MPoly, Poly, biv_gcd, exact_roots, poly_gcd,
                     resultant_bivariate, squarefree_decomposition)
 from .scalars import CRat
@@ -71,23 +72,20 @@ _BINOM = [[math.comb(n, k) for k in range(n + 1)] for n in range(12)]
 # curves and configurations
 # ---------------------------------------------------------------------------
 
-class PlaneCurve:
+class PlaneCurve(Frozen):
     """Squarefree homogeneous curve in the projective plane."""
 
     __slots__ = ("poly", "degree")
 
-    def __init__(self, poly: MPoly, check_squarefree: bool = True):
+    def __init__(self, poly: MPoly):
         if poly.nvars != 3:
             raise ValueError("plane curves live in three homogeneous variables")
         if poly.is_zero() or not poly.is_homogeneous():
             raise ValueError("curve polynomial must be nonzero homogeneous")
         object.__setattr__(self, "poly", poly)
         object.__setattr__(self, "degree", poly.total_degree())
-        if check_squarefree and not self._squarefree():
+        if not self._squarefree():
             raise ValueError("curve polynomial has a repeated component")
-
-    def __setattr__(self, *a):
-        raise AttributeError("PlaneCurve is immutable")
 
     def _squarefree(self) -> bool:
         if self.degree <= 1:
@@ -128,7 +126,7 @@ class PlaneCurve:
         return f"PlaneCurve(deg={self.degree}, {self.poly!r})"
 
 
-class Configuration:
+class Configuration(Frozen):
     """Three squarefree curves with pairwise coprime equations."""
 
     __slots__ = ("curves",)
@@ -142,9 +140,6 @@ class Configuration:
                 if not _coprime(curves[i].poly, curves[j].poly):
                     raise NonCoprimeError(f"curves {i} and {j} share a component")
         object.__setattr__(self, "curves", curves)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Configuration is immutable")
 
     def to_json(self):
         return {"curves": [c.to_json() for c in self.curves]}
@@ -187,7 +182,7 @@ def _change_schedule(seed: int, attempts: int = 6):
 # exact/numeric hybrid points
 # ---------------------------------------------------------------------------
 
-class ProjPoint:
+class ProjPoint(Value):
     """Projective point with exact coordinates when available."""
 
     __slots__ = ("coords", "exact")
@@ -197,18 +192,8 @@ class ProjPoint:
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "exact", exact)
 
-    def __setattr__(self, *a):
-        raise AttributeError("ProjPoint is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if not isinstance(other, ProjPoint):
-            return NotImplemented
-        return (self.coords, self.exact) == (other.coords, other.exact)
-
-    def __hash__(self):
-        return hash((self.coords, self.exact))
+    def _key(self):
+        return (self.coords, self.exact)
 
     @classmethod
     def from_exact(cls, cs):
@@ -610,7 +595,7 @@ def surviving_cases(verdicts):
 # total tangent lines and the quadric exclusion
 # ---------------------------------------------------------------------------
 
-class TangentLine:
+class TangentLine(Frozen):
     __slots__ = ("dual", "point", "exact")
 
     def __init__(self, dual: tuple, point: ProjPoint, exact: bool):
@@ -619,11 +604,6 @@ class TangentLine:
         object.__setattr__(self, "dual", dual)
         object.__setattr__(self, "point", point)
         object.__setattr__(self, "exact", exact)
-
-    def __setattr__(self, *a):
-        raise AttributeError("TangentLine is immutable")
-
-    __delattr__ = __setattr__
 
     def same_line(self, other: "TangentLine", tol: float = 1e-9) -> bool:
         return _proportional(self.dual, other.dual,

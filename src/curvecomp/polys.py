@@ -13,8 +13,9 @@ Evaluation is one routine per class, generic over the ring of the point:
 ``Poly.eval`` (Horner) and ``MPoly.eval`` (a sum over the terms) take a
 ``lift`` that maps an exact coefficient into that ring, so the same code
 evaluates at exact scalars, at complex or mpmath numbers, and substitutes
-MPoly, Poly or ExpPoly values.  Only ``Poly.eval_complex`` is kept apart: it
-caches the complex coefficients the compiled ExpPoly kernel reads.
+MPoly, Poly or ExpPoly values.  A Poly caches its complex coefficients for
+the compiled ExpPoly kernel, which evaluates them with the float operations
+of ``Poly.eval(z, complex)``.
 
 The heavier tools live at the bottom: univariate gcd and squarefree
 decomposition, Sylvester resultants (scalar and one-variable-eliminated via
@@ -27,6 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 
+from . import Frozen
 from .scalars import SCALAR_TYPES, CRat, power
 
 # what Poly, MPoly and RatFunc multiply by as a scalar
@@ -41,7 +43,7 @@ def as_crat(x) -> CRat:
     raise TypeError(f"cannot interpret {x!r} as an exact complex rational")
 
 
-class Poly:
+class Poly(Frozen):
     """Univariate polynomial, ascending coefficients, trimmed."""
 
     __slots__ = ("coeffs", "_num")
@@ -52,9 +54,6 @@ class Poly:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
         object.__setattr__(self, "_num", None)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Poly is immutable")
 
     # -- basics ---------------------------------------------------------
     @property
@@ -192,15 +191,6 @@ class Poly:
             object.__setattr__(self, "_num",
                                tuple(c.to_complex() for c in self.coeffs))
         return self._num
-
-    def eval_complex(self, z: complex) -> complex:
-        cs = self._numeric()
-        if not cs:
-            return 0j
-        out = cs[-1]
-        for c in reversed(cs[:-1]):
-            out = out * z + c
-        return out
 
     def to_json(self):
         return [c.to_json() for c in self.coeffs]
@@ -356,7 +346,7 @@ def lagrange_interpolate(points) -> Poly:
 # sparse multivariate polynomials
 # ---------------------------------------------------------------------------
 
-class MPoly:
+class MPoly(Frozen):
     """Sparse multivariate polynomial: {exponent tuple: scalar}."""
 
     __slots__ = ("nvars", "terms")
@@ -377,9 +367,6 @@ class MPoly:
                     t[e] = c
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", t)
-
-    def __setattr__(self, *a):
-        raise AttributeError("MPoly is immutable")
 
     @classmethod
     def monomial(cls, nvars, expo, coeff=1):
@@ -582,13 +569,13 @@ def _biv_rec(p: MPoly):
     return recs
 
 
-def _rec_biv(rec, nvars=2) -> MPoly:
+def _rec_biv(rec) -> MPoly:
     items = []
     for i, p in enumerate(rec):
         for j, c in enumerate(p.coeffs):
             if not c.is_zero():
                 items.append(((i, j), c))
-    return MPoly(nvars, items)
+    return MPoly(2, items)
 
 
 def _rec_trim(rec):
@@ -687,7 +674,7 @@ def biv_exact_div(a: MPoly, b: MPoly) -> MPoly:
     return _rec_biv(out)
 
 
-class RatFunc:
+class RatFunc(Frozen):
     """Reduced bivariate rational function num/den."""
 
     __slots__ = ("num", "den")
@@ -713,16 +700,13 @@ class RatFunc:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
-    def __setattr__(self, *a):
-        raise AttributeError("RatFunc is immutable")
+    @classmethod
+    def zero(cls):
+        return cls(MPoly(2))
 
     @classmethod
-    def zero(cls, nvars=2):
-        return cls(MPoly(nvars))
-
-    @classmethod
-    def const(cls, c, nvars=2):
-        return cls(MPoly.monomial(nvars, (0,) * nvars, c))
+    def const(cls, c):
+        return cls(MPoly.monomial(2, (0, 0), c))
 
     def is_zero(self):
         return self.num.is_zero()
@@ -762,9 +746,6 @@ class RatFunc:
 
     def __hash__(self):
         return hash((self.num, self.den))
-
-    def eval_complex(self, point) -> complex:
-        return self.num.eval(point, complex) / self.den.eval(point, complex)
 
     def to_json(self):
         return {"num": self.num.to_json(), "den": self.den.to_json()}
@@ -820,12 +801,16 @@ def resultant_bivariate(f: MPoly, g: MPoly, elim: int) -> Poly:
 # numeric root finding with exact snapping
 # ---------------------------------------------------------------------------
 
-def poly_roots_numeric(p: Poly, dps: int = 50):
-    """High-precision roots of a (preferably squarefree) polynomial."""
+ROOT_DPS = 50            # decimal digits of every numeric root
+SNAP_DEN = 10 ** 9       # largest denominator a root is snapped to
+
+
+def poly_roots_numeric(p: Poly):
+    """ROOT_DPS-digit roots of a (preferably squarefree) polynomial."""
     if p.degree < 1:
         return []
     import mpmath as mp
-    with mp.workdps(dps):
+    with mp.workdps(ROOT_DPS):
         cs = [mp.mpc(str(c.re), str(c.im)) for c in reversed(p.coeffs)]
         roots = mp.polyroots(cs, maxsteps=200, extraprec=120)
     return list(roots)
@@ -844,18 +829,19 @@ def _binary_fraction(x) -> Fraction:
     return Fraction(man * 2 ** exp) if exp >= 0 else Fraction(man, 2 ** -exp)
 
 
-def snap_to_crat(z, max_den: int = 10 ** 12) -> CRat:
-    """Nearest small-denominator Gaussian rational (no verification here).
+def snap_to_crat(z) -> CRat:
+    """Nearest Gaussian rational with denominators up to SNAP_DEN (no
+    verification here).
 
     Snaps from the exact binary value of z, so the full working precision
     of an mpmath root is used, not just its nearest float.
     """
     re = _binary_fraction(z.real if hasattr(z, "real") else z)
     im = _binary_fraction(z.imag if hasattr(z, "imag") else 0.0)
-    return CRat(re.limit_denominator(max_den), im.limit_denominator(max_den))
+    return CRat(re.limit_denominator(SNAP_DEN), im.limit_denominator(SNAP_DEN))
 
 
-def exact_roots(p: Poly, dps: int = 50, max_den: int = 10 ** 9):
+def exact_roots(p: Poly):
     """Split roots of p into exact CRat roots and residual numeric ones.
 
     Returns (exact: list[CRat], numeric: list[mpmath.mpc]); exact roots are
@@ -866,12 +852,12 @@ def exact_roots(p: Poly, dps: int = 50, max_den: int = 10 ** 9):
     progress = True
     while progress and q.degree >= 1:
         progress = False
-        for z in poly_roots_numeric(q, dps=dps):
-            cand = snap_to_crat(z, max_den)
+        for z in poly_roots_numeric(q):
+            cand = snap_to_crat(z)
             if q.eval(cand).is_zero():
                 exact.append(cand)
                 q = q.exact_div(Poly([-cand, CRat(1)]))
                 progress = True
                 break
-    numeric = poly_roots_numeric(q, dps=dps) if q.degree >= 1 else []
+    numeric = poly_roots_numeric(q) if q.degree >= 1 else []
     return exact, numeric

@@ -38,6 +38,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+from . import Frozen
+
 
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
@@ -100,7 +102,7 @@ def _pow(self, k: int):
     return power(self, k, self.one())
 
 
-class CRat:
+class CRat(Frozen):
     """Gaussian rational re + im*i with exact Fraction parts."""
 
     __slots__ = ("re", "im")
@@ -114,9 +116,6 @@ class CRat:
             return
         object.__setattr__(self, "re", _frac(re))
         object.__setattr__(self, "im", _frac(im))
-
-    def __setattr__(self, *a):  # immutable
-        raise AttributeError("CRat is immutable")
 
     # -- constructors -----------------------------------------------------
     @classmethod
@@ -348,7 +347,7 @@ class CycField:
         return f"CycField({self.order})"
 
 
-class CycNum:
+class CycNum(Frozen):
     """Element of Q(zeta_L): coefficient vector over the power basis."""
 
     __slots__ = ("field", "vec")
@@ -356,9 +355,6 @@ class CycNum:
     def __init__(self, field: CycField, vec: tuple):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "vec", vec)
-
-    def __setattr__(self, *a):
-        raise AttributeError("CycNum is immutable")
 
     def is_zero(self) -> bool:
         return all(not c for c in self.vec)

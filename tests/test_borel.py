@@ -29,6 +29,12 @@ def test_term_is_an_immutable_value():
     assert len({t, term(Fraction(1, 2), 1, 0, 2, 3)}) == 1
     with pytest.raises(AttributeError):
         t.i = 0
+    with pytest.raises(AttributeError):
+        del t.coeff
+    assert t != (t.coeff, 1, 0, 2, 3)
+    s = ExpSum([t], XI, XI2)
+    with pytest.raises(AttributeError):
+        del s.terms
     with pytest.raises(ValueError, match="outside"):
         term(1, 4, 0, 0, 3)
     with pytest.raises(ValueError, match="nonnegative"):

@@ -20,6 +20,14 @@ def test_cidata_is_an_immutable_value():
     assert len({ci, CIData([1], (2, 2, 2))}) == 1
     with pytest.raises(AttributeError):
         ci.b = (1, 1, 1)
+    with pytest.raises(AttributeError):
+        del ci.a
+    assert ci != ((1,), (2, 2, 2))
+    rep = invariants(ci)
+    assert rep == invariants(CIData([1], (2, 2, 2))) != invariants(
+        CIData([1], (2, 2, 3)))
+    with pytest.raises(AttributeError):
+        del rep.b1
 
 
 def test_verdict_notes_not_shared():

@@ -271,16 +271,28 @@ class TestErrors:
             f"missing '{field}': give --{field} or put it in the --input "
             f"payload")
 
-    def test_T_beyond_float_range_gives_envelope(self, tmp_path):
-        # [1 : z^150] at r = 1000: |z^150| exceeds the double range
+    @staticmethod
+    def _T_of_power(tmp_path, d, r):
+        """nev T of the curve [1 : z^d] at radius r."""
         zero, one = [0, 1, 0, 1], [1, 1, 0, 1]
         curve = {"components": [[{"coeff": [one], "exp": []}],
-                                [{"coeff": [zero] * 150 + [one],
+                                [{"coeff": [zero] * d + [one],
                                   "exp": []}]]}
         p = tmp_path / "curve.json"
         p.write_text(json.dumps(curve))
-        code, doc = run_json(tmp_path, "o.json",
-                             ["nev", "T", "--curve", str(p), "--r", "1000"])
+        return run_json(tmp_path, "o.json",
+                        ["nev", "T", "--curve", str(p), "--r", r])
+
+    def test_T_beyond_float_range_gives_envelope(self, tmp_path):
+        # [1 : z^150] at r = 1000: |z^150| exceeds the double range
+        code, doc = self._T_of_power(tmp_path, 150, "1000")
+        assert code == 1 and doc["error"]["type"] == "QuadratureError"
+        assert "values" not in doc
+
+    def test_T_modulus_past_float_range_gives_envelope(self, tmp_path):
+        # [1 : z^100] at r = 1211: the parts of z^100 are finite where its
+        # modulus is not, and abs() raised a bare OverflowError
+        code, doc = self._T_of_power(tmp_path, 100, "1211")
         assert code == 1 and doc["error"]["type"] == "QuadratureError"
         assert "values" not in doc
 

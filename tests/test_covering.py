@@ -26,6 +26,12 @@ def test_cyclic_cover_is_an_immutable_value():
     assert len({B2, CyclicCover(2), B3}) == 2
     with pytest.raises(AttributeError):
         B2.b = 3
+    with pytest.raises(AttributeError):
+        del B2.b
+    assert B2 != 2
+    f = SymForm.monomial(2, 1, CRat(1))
+    with pytest.raises(AttributeError):
+        del f.coeffs
     with pytest.raises(ValueError, match="branching order"):
         CyclicCover(0)
 

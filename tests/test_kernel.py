@@ -1,7 +1,7 @@
 """The compiled numeric kernel against a per-term reference, bit for bit.
 
 The reference below evaluates every term straight from its exact data
-through CRat.to_complex and Poly.eval_complex, one point at a time, as
+through CRat.to_complex and Poly.eval(z, complex), one point at a time, as
 ExpPoly.eval_scaled did before evaluation moved to compiled complex data.
 The column kernel eval_columns performs the same float operations in the
 same order on a whole batch of points, so the results must be equal, not
@@ -33,14 +33,14 @@ from conftest import XI, XI2, count_evaluations, cr, exp_of, poly
 def ref_eval_scaled(f, z):
     if not f.terms:
         return 0j, 0.0
-    ws = [t.expconst.to_complex() + t.expo.eval_complex(z) for t in f.terms]
+    ws = [t.expconst.to_complex() + t.expo.eval(z, complex) for t in f.terms]
     s = max(w.real for w in ws)
     v = 0j
     for t, w in zip(f.terms, ws):
         e = w - s
         if e.real < -745.0:
             continue
-        v += t.coeff.eval_complex(z) * cmath.exp(e)
+        v += t.coeff.eval(z, complex) * cmath.exp(e)
     return v, s
 
 
@@ -50,8 +50,8 @@ def ref_eval_unit(f, z):
     v, s = ref_eval_scaled(f, z)
     ref = 0.0
     for t in f.terms:
-        w = t.expconst.to_complex() + t.expo.eval_complex(z)
-        ref += abs(t.coeff.eval_complex(z)) * math.exp(min(w.real - s, 0.0))
+        w = t.expconst.to_complex() + t.expo.eval(z, complex)
+        ref += abs(t.coeff.eval(z, complex)) * math.exp(min(w.real - s, 0.0))
     return v, ref
 
 

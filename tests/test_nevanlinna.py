@@ -8,7 +8,7 @@ import mpmath as mp
 import pytest
 
 from curvecomp import nevanlinna
-from curvecomp.expfun import ExpPoly
+from curvecomp.expfun import EvalOverflowError, ExpPoly
 from curvecomp.nevanlinna import (DegenerateCurveError, GeneralPositionError,
                                   HomDivisor, ProjCurve, QuadratureError,
                                   characteristic, characteristic_scalar,
@@ -136,6 +136,24 @@ class TestCharacteristic:
         assert v == pytest.approx(1600 / math.pi, rel=2e-2)
 
 
+def count_circle_values(monkeypatch):
+    """(radius, number of angles) of every _circle_values call, in order."""
+    calls = []
+    inner = nevanlinna._circle_values
+
+    def counted(h, radius, thetas):
+        calls.append((radius, len(thetas)))
+        return inner(h, radius, thetas)
+
+    monkeypatch.setattr(nevanlinna, "_circle_values", counted)
+    return calls
+
+
+Z100 = ExpPoly.from_poly(poly(*[0] * 100, 1))
+Z100_MINUS_ONE = ExpPoly.from_poly(poly(-1, *[0] * 99, 1))
+Z200_MINUS_ONE = ExpPoly.from_poly(poly(-1, *[0] * 199, 1))
+
+
 class TestWinding:
     def test_exp_minus_one_counts(self):
         h = E_XI - ONE
@@ -151,6 +169,28 @@ class TestWinding:
         # e^x - 1 vanishes at 2 pi i, exactly on the circle |x| = 2 pi
         h = E_XI - ONE
         assert zero_count(h, 2 * math.pi) in (1, 3)
+
+    def test_nan_step_fails_at_once(self, monkeypatch):
+        # z^200 - 1 is NaN on |z| = 1000: one sweep, with no bisection of a
+        # NaN step to depth 54 and no nudged radius (550 calls before)
+        sweeps = count_circle_values(monkeypatch)
+        with pytest.raises(EvalOverflowError, match="r=1000.0 near theta="):
+            zero_count(Z200_MINUS_ONE, 1000.0)
+        assert sweeps == [(1000.0, 256)]
+        sweeps.clear()
+        with pytest.raises(EvalOverflowError):
+            counting_entire(Z200_MINUS_ONE, 1000.0)
+        assert [s for s in sweeps if s[0] > 2.0] == [(1000.0, 256)]
+
+    def test_overflow_in_sweep_is_not_retried(self, monkeypatch):
+        # on |z| = 1211 the parts of z^100 are finite where its modulus is
+        # not, and abs() raises OverflowError
+        sweeps = count_circle_values(monkeypatch)
+        for count in (zero_count, counting_entire):
+            sweeps.clear()
+            with pytest.raises(EvalOverflowError, match="r=1211.0"):
+                count(Z100_MINUS_ONE, 1211.0)
+            assert [s for s in sweeps if s[0] > 2.0] == [(1211.0, 256)]
 
 
 class TestCounting:
@@ -190,20 +230,13 @@ class TestCounting:
         assert calls[0] == 810
 
     def test_winding_sweeps_share_evaluations(self, monkeypatch):
-        calls = [0]
-        inner = nevanlinna._circle_values
-
-        def counted(h, radius, thetas):
-            calls[0] += len(thetas)
-            return inner(h, radius, thetas)
-
-        monkeypatch.setattr(nevanlinna, "_circle_values", counted)
+        calls = count_circle_values(monkeypatch)
         n = counting_entire(E_XI - ONE, 10.0)
         # the integer counts, hence N, are those of independent sweeps on
         # every rung, which evaluate h 18,436 times on this ladder (12,290
         # with the sweeps of one circle sharing their grid points)
         assert n.hex() == "0x1.9daf20080c499p+1"
-        assert calls[0] <= 7684
+        assert sum(k for _, k in calls) <= 7684
 
     def test_monotone(self):
         f = curve(ONE, E_XI)
@@ -648,6 +681,27 @@ class TestQuadrature:
         h = ExpPoly.from_poly(poly(-1, *[0] * 199, 1))
         with pytest.raises(QuadratureError, match="not a number"):
             functional(h, 1000.0)
+
+    @pytest.mark.parametrize("call", [
+        lambda: characteristic(curve(ONE, Z100), 1211.0),
+        lambda: characteristic_scalar(Z100, 1211.0),
+        lambda: circle_log_mean(Z100_MINUS_ONE, 1211.0),
+        lambda: counting_entire(Z100_MINUS_ONE, 1211.0,
+                                method="circle-mean")],
+        ids=["characteristic", "characteristic_scalar", "circle_log_mean",
+             "counting_entire"])
+    def test_modulus_past_float_range_raises(self, call):
+        # on |z| = 1211 the parts of z^100 are finite where its modulus is
+        # not: abs() raised a bare OverflowError there
+        with pytest.raises(QuadratureError, match="out of the floating range"):
+            call()
+
+    def test_corner_search_past_float_range_raises(self):
+        # z^100 e^z: log|g| overflows at the angles sampled near the
+        # corners of log+, before the quadrature starts
+        g = ExpPoly([(poly(*[0] * 100, 1), XI)])
+        with pytest.raises(QuadratureError, match="log\\|g\\| out of"):
+            characteristic_scalar(g, 1211.0)
 
     def test_log_factor(self):
         radii = [4, 8, 16, 32]

@@ -51,6 +51,13 @@ def test_points_and_lines_are_immutable():
         p.exact = False
     with pytest.raises(AttributeError):
         line.point = pt(1, 0, 0)
+    with pytest.raises(AttributeError):
+        del p.coords
+    with pytest.raises(AttributeError):
+        del line.dual
+    assert p != (p.coords, True)
+    with pytest.raises(AttributeError):
+        del curve([((1, 0, 0), 1)]).poly
 
 
 class TestPlaneCurve:
