@@ -26,6 +26,8 @@ from .polys import Poly, as_crat, exact_roots, squarefree_decomposition
 from .scalars import CRat
 
 MAX_CLASS_TERMS = 20
+CASE2_MAX_DEG = 2        # largest degree of p1 in random_case2_instance
+CASE2_MAX_M = 4          # largest M in random_case2_instance
 
 
 class BorelError(Exception):
@@ -272,18 +274,12 @@ class Factorization:
         """Multiply the linear factors back out (exact factorizations only)."""
         if not self.exact:
             raise ValueError("reconstruction needs an exact factorization")
-        coeffs = {0: as_crat(self.lead)}  # key: power of x
-        deg = 0
+        if len(self.factors) != M:
+            raise ValueError(f"factor count {len(self.factors)} != degree {M}")
+        out = Poly([as_crat(self.lead)])
         for lam, gam, _ in self.factors:
-            nxt = {}
-            for p, c in coeffs.items():
-                nxt[p + 1] = nxt.get(p + 1, CRat(0)) + c * lam
-                nxt[p] = nxt.get(p, CRat(0)) - c * gam
-            coeffs = nxt
-            deg += 1
-        if deg != M:
-            raise ValueError(f"factor count {deg} != degree {M}")
-        return [coeffs.get(i, CRat(0)) for i in range(M + 1)]
+            out = out * Poly([-gam, lam])
+        return list(out.coeffs) + [CRat(0)] * (M + 1 - len(out.coeffs))
 
 
 def factor_homogeneous(dvec, M: int) -> Factorization:
@@ -510,7 +506,7 @@ def degeneracy_pipeline(s: ExpSum) -> AnalysisOutcome:
 # seeded instance generators (shared by tests and the acceptance gate)
 # ---------------------------------------------------------------------------
 
-def random_case2_instance(rng, max_deg: int = 2, max_M: int = 4):
+def random_case2_instance(rng):
     """A random vanishing single-class instance with proportional exponents.
 
     Returns (ExpSum, expected (lambda, gamma) normalized to lambda = 1).
@@ -523,11 +519,11 @@ def random_case2_instance(rng, max_deg: int = 2, max_M: int = 4):
             if v or not nonzero:
                 return v
 
-    deg = rng.randint(1, max_deg)
+    deg = rng.randint(1, CASE2_MAX_DEG)
     p1 = Poly([CRat(rnd_frac()) for _ in range(deg)] + [CRat(rnd_frac(True))])
     rho = CRat(rnd_frac(True))
     p2 = p1.scale(rho) + Poly([CRat(rnd_frac())])
-    M = rng.randint(1, max_M)
+    M = rng.randint(1, CASE2_MAX_M)
     idx = sorted(rng.sample(range(M + 1), rng.randint(2, M + 1)))
     i0 = idx[-1]
     coeffs = {}

@@ -66,6 +66,7 @@ class DegenerateChangeError(PlaneConfError):
 
 
 _BINOM = [[math.comb(n, k) for k in range(n + 1)] for n in range(12)]
+SAME_TOL = 1e-9         # how far numeric points or lines may differ
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +214,9 @@ class ProjPoint(Value):
         cs = tuple(c / mx for c in cs)
         return cls(cs, False)
 
-    def same_as(self, other: "ProjPoint", tol: float = 1e-9) -> bool:
+    def same_as(self, other: "ProjPoint") -> bool:
         return _proportional(self.coords, other.coords,
-                             self.exact and other.exact, tol)
+                             self.exact and other.exact)
 
     def to_json(self):
         if self.exact:
@@ -229,18 +230,19 @@ class ProjPoint(Value):
         return "(" + " : ".join(f"{c:.6g}" for c in self.coords) + ")"
 
 
-def _proportional(a, b, exact: bool, tol: float, scaled: bool = False):
+def _proportional(a, b, exact: bool, scaled: bool = False):
     """Do the triples a and b span the same projective point?
 
     Exact triples compare exactly.  Otherwise every 2x2 minor a_i b_j -
-    a_j b_i must be at most tol in modulus, or at most
-    tol * max|a_i| * max|b_i| when scaled.
+    a_j b_i must be at most SAME_TOL in modulus, or at most
+    SAME_TOL * max|a_i| * max|b_i| when scaled.
     """
     pairs = ((0, 1), (0, 2), (1, 2))
     if exact:
         return all((a[i] * b[j] - a[j] * b[i]).is_zero() for i, j in pairs)
     a = [complex(c) for c in a]
     b = [complex(c) for c in b]
+    tol = SAME_TOL
     if scaled:
         tol = tol * max(abs(x) for x in a) * max(abs(x) for x in b)
     return not any(abs(a[i] * b[j] - a[j] * b[i]) > tol for i, j in pairs)
@@ -605,9 +607,9 @@ class TangentLine(Frozen):
         object.__setattr__(self, "point", point)
         object.__setattr__(self, "exact", exact)
 
-    def same_line(self, other: "TangentLine", tol: float = 1e-9) -> bool:
+    def same_line(self, other: "TangentLine") -> bool:
         return _proportional(self.dual, other.dual,
-                             self.exact and other.exact, tol, scaled=True)
+                             self.exact and other.exact, scaled=True)
 
     def to_json(self):
         if self.exact:

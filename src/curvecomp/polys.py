@@ -18,9 +18,11 @@ the compiled ExpPoly kernel, which evaluates them with the float operations
 of ``Poly.eval(z, complex)``.
 
 The heavier tools live at the bottom: univariate gcd and squarefree
-decomposition, Sylvester resultants (scalar and one-variable-eliminated via
-evaluation/interpolation), bivariate gcd by a primitive remainder sequence,
-and reduced bivariate rational functions.
+decomposition, one Gaussian elimination behind ``det_field`` and
+``rank_field``, Sylvester resultants (scalar and one-variable-eliminated via
+evaluation/interpolation), bivariate gcd by a primitive remainder sequence
+on K[y][x] read as a ``Poly`` over ``Poly``, and reduced bivariate rational
+functions.
 """
 
 from __future__ import annotations
@@ -44,12 +46,16 @@ def as_crat(x) -> CRat:
 
 
 class Poly(Frozen):
-    """Univariate polynomial, ascending coefficients, trimmed."""
+    """Univariate polynomial, ascending coefficients, trimmed.
+
+    The coefficients may be Polys in y themselves (K[y][x]); ``*`` is then
+    the product in x, and a coefficient is applied by scale().
+    """
 
     __slots__ = ("coeffs", "_num")
 
     def __init__(self, coeffs=()):
-        cs = [c if isinstance(c, SCALAR_TYPES) else as_crat(c) for c in coeffs]
+        cs = [c if isinstance(c, _COEFF_TYPES) else as_crat(c) for c in coeffs]
         while cs and cs[-1].is_zero():
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -66,6 +72,9 @@ class Poly(Frozen):
 
     def constant(self):
         return self.coeffs[0] if self.coeffs else CRat(0)
+
+    def zero(self) -> "Poly":
+        return Poly()
 
     def lead(self):
         if not self.coeffs:
@@ -165,6 +174,20 @@ class Poly(Frozen):
             raise ArithmeticError("non-exact polynomial division")
         return q
 
+    def pseudo_rem(self, g: "Poly") -> "Poly":
+        """Pseudo-remainder by a nonzero g, without division: each step
+        takes f to lead(g) f - lead(f) x^(deg f - deg g) g."""
+        f = list(self.coeffs)
+        dg, lg = g.degree, g.lead()
+        while len(f) - 1 >= dg:
+            df, lf = len(f) - 1, f[-1]
+            f = [c * lg for c in f]
+            for j, gj in enumerate(g.coeffs):
+                f[df - dg + j] = f[df - dg + j] - gj * lf
+            while f and f[-1].is_zero():
+                f.pop()
+        return Poly(f)
+
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
@@ -215,6 +238,9 @@ class Poly(Frozen):
         return "Poly[" + " + ".join(parts) + "]"
 
 
+_COEFF_TYPES = SCALAR_TYPES + (Poly,)
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd over the coefficient field."""
     while not b.is_zero():
@@ -256,36 +282,52 @@ def squarefree_decomposition(p: Poly):
 # determinants and resultants
 # ---------------------------------------------------------------------------
 
-def det_field(rows):
-    """Exact determinant by Gaussian elimination (any field scalar)."""
-    n = len(rows)
-    if n == 0:
-        raise ValueError("empty matrix")
+def _pivots(rows):
+    """Gaussian elimination of a copy of rows, over a field.
+
+    Yields (pivot, swapped) column by column, pivot None for a column with
+    no pivot left.  A column is cleared below its pivot only when the next
+    one is asked for, so a caller that stops early does no more work.
+    """
     m = [list(r) for r in rows]
-    one = m[0][0].one()
-    det = one
-    sign = 1
-    for col in range(n):
+    ncols = len(m[0]) if m else 0
+    top = 0
+    for col in range(ncols):
         piv = None
-        for r in range(col, n):
+        for r in range(top, len(m)):
             if not m[r][col].is_zero():
                 piv = r
                 break
         if piv is None:
-            return one.zero()
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            sign = -sign
-        pv = m[col][col]
-        det = det * pv
-        inv = pv.inverse()
-        for r in range(col + 1, n):
+            yield None, False
+            continue
+        m[top], m[piv] = m[piv], m[top]
+        yield m[top][col], piv != top
+        inv = m[top][col].inverse()
+        for r in range(top + 1, len(m)):
             f = m[r][col] * inv
-            if f.is_zero():
-                continue
-            for c in range(col, n):
-                m[r][c] = m[r][c] - f * m[col][c]
+            if not f.is_zero():
+                for c in range(col, ncols):
+                    m[r][c] = m[r][c] - f * m[top][c]
+        top += 1
+
+
+def det_field(rows):
+    """Exact determinant by Gaussian elimination (any field scalar)."""
+    if not rows:
+        raise ValueError("empty matrix")
+    det, sign = rows[0][0].one(), 1
+    for pv, swapped in _pivots(rows):
+        if pv is None:
+            return det.zero()
+        sign = -sign if swapped else sign
+        det = det * pv
     return det if sign > 0 else -det
+
+
+def rank_field(rows) -> int:
+    """Exact rank by Gaussian elimination (any field scalar)."""
+    return sum(pv is not None for pv, _ in _pivots(rows))
 
 
 def sylvester_det(fc, gc):
@@ -330,16 +372,10 @@ def lagrange_interpolate(points) -> Poly:
     for k in range(1, n):
         for i in range(n - 1, k - 1, -1):
             cs[i] = (cs[i] - cs[i - 1]) * (xs[i] - xs[i - k]).inverse()
-    out = [cs[-1]]
+    out = Poly([cs[-1]])
     for k in range(n - 2, -1, -1):
-        xk = xs[k]
-        # out <- out * (x - x_k) + c_k
-        nxt = out + [out[-1]]
-        for i in range(len(out) - 1, 0, -1):
-            nxt[i] = out[i - 1] - xk * out[i]
-        nxt[0] = cs[k] - xk * out[0]
-        out = nxt
-    return Poly(out)
+        out = out * Poly([-xs[k], 1]) + Poly([cs[k]])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -554,66 +590,26 @@ class MPoly(Frozen):
 # bivariate gcd (primitive remainder sequence) and rational functions
 # ---------------------------------------------------------------------------
 
-def _biv_rec(p: MPoly):
-    """Bivariate MPoly -> list over x-degree of univariate-in-y Poly."""
-    d = p.degree_in(0)
-    out = [dict() for _ in range(d + 1)]
-    zero = None
+def _from_biv(p: MPoly) -> Poly:
+    """Nonzero bivariate MPoly -> K[y][x], a Poly in x over Polys in y."""
+    zero = next(iter(p.terms.values())).zero()
+    rows = [{} for _ in range(p.degree_in(0) + 1)]
     for (i, j), c in p.terms.items():
-        out[i][j] = c
-        zero = c.zero()
-    recs = []
-    for t in out:
-        dd = max(t, default=-1)
-        recs.append(Poly([t.get(k, zero) for k in range(dd + 1)]))
-    return recs
+        rows[i][j] = c
+    return Poly([Poly([r.get(j, zero) for j in range(max(r, default=-1) + 1)])
+                 for r in rows])
 
 
-def _rec_biv(rec) -> MPoly:
-    items = []
-    for i, p in enumerate(rec):
-        for j, c in enumerate(p.coeffs):
-            if not c.is_zero():
-                items.append(((i, j), c))
-    return MPoly(2, items)
+def _to_biv(f: Poly) -> MPoly:
+    """K[y][x] -> bivariate MPoly."""
+    return MPoly(2, [((i, j), c) for i, p in enumerate(f.coeffs)
+                     for j, c in enumerate(p.coeffs) if not c.is_zero()])
 
 
-def _rec_trim(rec):
-    while rec and rec[-1].is_zero():
-        rec.pop()
-    return rec
-
-
-def _rec_content(rec) -> Poly:
-    return poly_gcd_many(rec)
-
-
-def _rec_primitive(rec):
-    cont = _rec_content(rec)
-    if cont.is_zero():
-        return rec, cont
-    return [p.exact_div(cont) for p in rec], cont
-
-
-def _rec_mul_poly(rec, q: Poly):
-    return [p * q for p in rec]
-
-
-def _rec_pseudo_rem(f, g):
-    """Pseudo-remainder of f by g in K[y][x] (both trimmed, g nonzero)."""
-    f = list(f)
-    dg = len(g) - 1
-    lg = g[-1]
-    while len(f) - 1 >= dg and _rec_trim(f):
-        df = len(f) - 1
-        lf = f[-1]
-        f = _rec_mul_poly(f, lg)
-        for j in range(dg + 1):
-            f[df - dg + j] = f[df - dg + j] - g[j] * lf
-        f = _rec_trim(f)
-        if len(f) - 1 < dg:
-            break
-    return f
+def _primitive(f: Poly):
+    """(primitive part, content) of a nonzero f in K[y][x]."""
+    cont = poly_gcd_many(f.coeffs)
+    return Poly([p.exact_div(cont) for p in f.coeffs]), cont
 
 
 def biv_gcd(a: MPoly, b: MPoly) -> MPoly:
@@ -623,24 +619,21 @@ def biv_gcd(a: MPoly, b: MPoly) -> MPoly:
     elif b.is_zero():
         g = a
     else:
-        fa, fb = _rec_trim(_biv_rec(a)), _rec_trim(_biv_rec(b))
-        fa, ca = _rec_primitive(fa)
-        fb, cb = _rec_primitive(fb)
-        cont = poly_gcd(ca, cb)
-        if len(fa) < len(fb):
+        fa, ca = _primitive(_from_biv(a))
+        fb, cb = _primitive(_from_biv(b))
+        if fa.degree < fb.degree:
             fa, fb = fb, fa
         while True:
-            r = _rec_pseudo_rem(fa, fb)
-            if not r:
-                g_rec = fb
+            r = fa.pseudo_rem(fb)
+            if r.is_zero():
+                g = fb
                 break
-            if len(r) == 1:
+            if r.degree == 0:
                 # nonzero remainder of x-degree 0: primitive parts are coprime
-                g_rec = [Poly([1])]
+                g = Poly([Poly([1])])
                 break
-            fa, fb = fb, _rec_primitive(r)[0]
-        g_rec, _ = _rec_primitive(g_rec)
-        g = _rec_biv(_rec_mul_poly(g_rec, cont))
+            fa, fb = fb, _primitive(r)[0]
+        g = _to_biv(_primitive(g)[0].scale(poly_gcd(ca, cb)))
     if g.is_zero():
         return g
     # canonical: leading (lex-largest) coefficient one
@@ -652,26 +645,23 @@ def biv_exact_div(a: MPoly, b: MPoly) -> MPoly:
     """Exact division of bivariate polynomials (raises if not divisible)."""
     if a.is_zero():
         return a
-    fa, fb = _rec_trim(_biv_rec(a)), _rec_trim(_biv_rec(b))
-    if not fb:
+    if b.is_zero():
         raise ZeroDivisionError
-    out = [Poly() for _ in range(len(fa) - len(fb) + 1)]
-    fa = list(fa)
-    dg = len(fb) - 1
-    while _rec_trim(fa) and len(fa) - 1 >= dg:
-        df = len(fa) - 1
-        q, r = fa[-1].divmod(fb[-1])
+    f, g = list(_from_biv(a).coeffs), _from_biv(b)
+    dg, lg = g.degree, g.lead()
+    out = [Poly()] * (len(f) - dg)
+    while len(f) > dg:
+        k = len(f) - 1 - dg
+        out[k], r = f[-1].divmod(lg)
         if not r.is_zero():
-            raise ArithmeticError("non-exact bivariate division")
-        out[df - dg] = q
-        for j in range(dg + 1):
-            fa[df - dg + j] = fa[df - dg + j] - fb[j] * q
-        if not fa[-1].is_zero():
-            raise ArithmeticError("non-exact bivariate division")
-        fa.pop()
-    if _rec_trim(fa):
+            break
+        for j, gj in enumerate(g.coeffs):
+            f[k + j] = f[k + j] - gj * out[k]
+        while f and f[-1].is_zero():
+            f.pop()
+    if f:
         raise ArithmeticError("non-exact bivariate division")
-    return _rec_biv(out)
+    return _to_biv(Poly(out))
 
 
 class RatFunc(Frozen):

@@ -30,6 +30,9 @@ which of the two they hold:
 ``__rsub__``, ``__truediv__``, ``__rtruediv__`` and ``__pow__`` are one set
 of module-level functions bound in both class bodies; :func:`power` is the
 square-and-multiply routine behind ``**`` here and in the polynomial types.
+``CycField`` builds its elements and products with the Q[x] list helpers at
+the bottom (``_qx_mul``, ``_qx_divmod``): a product is the Q[x] product
+reduced modulo Phi_L, an element its coefficient list reduced the same way.
 """
 
 from __future__ import annotations
@@ -294,30 +297,13 @@ class CycField:
         return self
 
     def element(self, coeffs) -> "CycNum":
-        vec = [Fraction(0)] * self.degree
-        for k, c in enumerate(coeffs):
-            c = _frac(c) if not isinstance(c, Fraction) else c
-            if k < self.degree:
-                vec[k] += c
-            else:
-                # reduce high powers through the modulus
-                red = self._reduce_power(k)
-                for j, rj in enumerate(red):
-                    vec[j] += c * rj
-        return CycNum(self, tuple(vec))
+        return CycNum(self, tuple(self.reduce([_frac(c) for c in coeffs])))
 
     @lru_cache(maxsize=None)
     def _reduce_power(self, k: int) -> tuple:
         """zeta^k as a length-`degree` coefficient vector."""
         k %= self.order
-        if k < self.degree:
-            vec = [Fraction(0)] * self.degree
-            vec[k] = Fraction(1)
-            return tuple(vec)
-        # polynomial remainder of x^k modulo Phi_L
-        poly = [Fraction(0)] * (k + 1)
-        poly[k] = Fraction(1)
-        return tuple(self.reduce(poly))
+        return tuple(self.reduce([Fraction(0)] * k + [Fraction(1)]))
 
     def reduce(self, poly) -> list:
         """The remainder of a Q[x] list modulo Phi_L, `degree` entries."""
@@ -393,14 +379,7 @@ class CycNum(Frozen):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        d = self.field.degree
-        prod = [Fraction(0)] * (2 * d - 1)
-        for i, a in enumerate(self.vec):
-            if not a:
-                continue
-            for j, b in enumerate(o.vec):
-                if b:
-                    prod[i + j] += a * b
+        prod = _qx_mul(self.vec, o.vec)
         return CycNum(self.field, tuple(self.field.reduce(prod)))
 
     __rmul__ = __mul__
@@ -494,7 +473,8 @@ def _qx_mul(a, b):
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                out[i + j] += ai * bj
+                if bj:
+                    out[i + j] += ai * bj
     return out
 
 

@@ -146,7 +146,7 @@ def test_criterion_6_borel_soundness():
     t0 = time.time()
     rng = random.Random(0)
     for _ in range(100):
-        s, (lam, gam) = random_case2_instance(rng, max_deg=2, max_M=4)
+        s, (lam, gam) = random_case2_instance(rng)
         assert realize(s).is_zero()
         out = degeneracy_pipeline(s)
         assert out.kind == "case2_proportional"

@@ -485,9 +485,17 @@ class TestSmt:
         assert rep.log_factor_T >= 10
 
     def test_sum_relation_requires_minimality(self):
-        with pytest.raises(DegenerateCurveError):
+        with pytest.raises(DegenerateCurveError,
+                           match="extra linear relations"):
             smt_defect_on_sum_relation([E_XI, -E_XI, E_XI2, -E_XI2],
                                        [4, 8, 16])
+
+    @pytest.mark.parametrize("second, rank", [
+        (E_XI - E_XI2, 2),
+        (E_XI.scale(2) + E_XI2.scale(2), 1),
+    ])
+    def test_component_rank(self, second, rank):
+        assert nevanlinna._component_rank([E_XI + E_XI2, second]) == rank
 
     def test_reports_bit_identical(self):
         """Both SMT checks' reports, floats by hex as first recorded

@@ -375,10 +375,6 @@ class TestTangentLinePins:
         unit = ProjPoint((1 + 0j, 0j, 0j), False)
         assert unit.same_as(ProjPoint((1 + 0j, 0.9e-9 + 0j, 0j), False))
         assert not unit.same_as(ProjPoint((1 + 0j, 1.1e-9 + 0j, 0j), False))
-        assert not unit.same_as(ProjPoint((1 + 0j, 1.1e-9 + 0j, 0j), False),
-                                tol=1e-9)
-        assert unit.same_as(ProjPoint((1 + 0j, 1.1e-9 + 0j, 0j), False),
-                            tol=2e-9)
         # mixed exact and numeric compares through complex values
         assert pt(1, 0, 0).same_as(ProjPoint((2 + 0j, 0.9e-9j, 0j), False))
         assert not pt(1, 0, 0).same_as(ProjPoint((2 + 0j, 1.1e-9j, 0j),
@@ -399,7 +395,6 @@ class TestTangentLinePins:
         # |minor| 9e-8 and 1.1e-7 against tol * |a| * |b| = 1e-7
         assert big.same_line(line(1 + 0j, 0.9e-9 + 0j, 0j))
         assert not big.same_line(line(1 + 0j, 1.1e-9 + 0j, 0j))
-        assert big.same_line(line(1 + 0j, 1.1e-9 + 0j, 0j), tol=2e-9)
         # exact against numeric
         ex = line(CRat(1), CRat(0), CRat(0), exact=True)
         assert ex.same_line(line(3 + 0j, 2.9e-9j, 0j))
@@ -432,6 +427,29 @@ class TestQuadricExclusion:
         rep = quadric_line_exclusion(
             Configuration([smooth(3), smooth(2), smooth(3)]))
         assert not rep.vacuous and rep.passed
+
+    def test_one_line_component_flags_the_excluded_line(self):
+        # the line z = 0 is totally tangent to C1 at P = (1:0:0), meets the
+        # line x = y at Q = (1:1:0), and the conic xy - y^2 + z^2 meets it
+        # at exactly P and Q
+        conic = curve([((1, 1, 0), 1), ((0, 2, 0), -1), ((0, 0, 2), 1)])
+        line = curve([((1, 0, 0), 1), ((0, 1, 0), -1)])
+        rep = quadric_line_exclusion(Configuration([C1, conic, line]))
+        assert not rep.vacuous and not rep.passed and not rep.notes
+        one, zero = [1, 1, 0, 1], [0, 1, 0, 1]
+        assert rep.violations == [{
+            "line": {"dual": [zero, zero, one], "exact": True,
+                     "point": {"exact": True, "coords": [one, zero, zero]}},
+            "P": {"exact": True, "coords": [one, zero, zero]},
+            "Q": {"exact": True, "coords": [one, one, zero]},
+            "exact": True}]
+
+    def test_one_line_component_skips_a_candidate_equal_to_it(self):
+        conic = curve([((2, 0, 0), 1), ((0, 2, 0), 1), ((0, 0, 2), -1),
+                       ((1, 1, 0), 1)])
+        rep = quadric_line_exclusion(Configuration([C1, conic, X2]))
+        assert not rep.vacuous and rep.passed and not rep.violations
+        assert rep.notes == ["candidate equals the line component: skipped"]
 
     def test_no_quadric_vacuous(self):
         rep = quadric_line_exclusion(Configuration([C1, C3, FERMAT]))

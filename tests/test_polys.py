@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from curvecomp.polys import (MPoly, Poly, RatFunc, biv_exact_div, biv_gcd,
                              det_field, exact_roots, lagrange_interpolate,
-                             poly_gcd, resultant_bivariate,
+                             poly_gcd, rank_field, resultant_bivariate,
                              resultant_univariate, squarefree_decomposition)
 from curvecomp.scalars import CRat, CycField
 
@@ -142,6 +142,16 @@ class TestBivariate:
             biv_exact_div(x * x + one, x * y)   # leading coefficients: 1 / y
         assert biv_exact_div((x + y) * (x - y), x + y) == x - y
 
+    def test_poly_over_poly(self):
+        # K[y][x]: * is the product in x, scale() applies a coefficient
+        y = poly(0, 1)
+        f = Poly([poly(1), Poly(), poly(1)])             # 1 + x^2
+        assert f * Poly([y]) == Poly([y, Poly(), y])     # y + x^2 y
+        assert f.scale(y) == f * Poly([y])
+        assert f.zero() == Poly()
+        # the pseudo-remainder keeps to the ring: over Q it is the scalar 5
+        assert poly(1, 0, 1).pseudo_rem(poly(1, 2)) == poly(5)
+
     def test_gcd_coprime(self):
         assert biv_gcd(self.x, self.y).total_degree() == 0
 
@@ -188,14 +198,43 @@ def _sym(sympy, c):
         sympy.I * sympy.Rational(c.im.numerator, c.im.denominator)
 
 
+def _crat(sympy, c):
+    """A Gaussian rational sympy number as a CRat."""
+    re, im = sympy.re(c), sympy.im(c)
+    return CRat(Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q)))
+
+
 def _from_sym(sympy, expr, var):
     """A sympy polynomial in var as a Poly with CRat coefficients."""
-    out = []
-    for c in reversed(sympy.Poly(expr, var).all_coeffs()):
-        re, im = sympy.re(c), sympy.im(c)
-        out.append(CRat(Fraction(int(re.p), int(re.q)),
-                        Fraction(int(im.p), int(im.q))))
-    return Poly(out)
+    return Poly([_crat(sympy, c)
+                 for c in reversed(sympy.Poly(expr, var).all_coeffs())])
+
+
+def _biv_sym(sympy, p, xs, lift=None):
+    """A bivariate MPoly as a sympy expression in xs; lift maps a
+    coefficient into sympy (default: a Gaussian rational)."""
+    lift = lift or (lambda c: _sym(sympy, c))
+    return sum((lift(c) * xs[0] ** e[0] * xs[1] ** e[1]
+                for e, c in p.terms.items()), sympy.Integer(0))
+
+
+def _lex_monic(p: MPoly) -> MPoly:
+    """p scaled to lex-leading coefficient one, as biv_gcd returns it."""
+    return p.scale(p.terms[max(p.terms)].inverse())
+
+
+@st.composite
+def _matrices(draw, square):
+    """Products of an n x k and a k x m Gaussian-rational matrix, so that
+    singular and rank-deficient matrices are common."""
+    n = draw(st.integers(1, 4))
+    m = n if square else draw(st.integers(1, 4))
+    k = draw(st.integers(1, 4))
+    entry = st.one_of(st.just(CRat(0)), _gauss)
+    a = [[draw(entry) for _ in range(k)] for _ in range(n)]
+    b = [[draw(entry) for _ in range(m)] for _ in range(k)]
+    return [[sum((a[i][t] * b[t][j] for t in range(k)), CRat(0))
+             for j in range(m)] for i in range(n)]
 
 
 class TestSympyOracle:
@@ -206,12 +245,8 @@ class TestSympyOracle:
         if f.degree_in(elim) < 1 or g.degree_in(elim) < 1:
             return
         xs = sympy.symbols("x0 x1")
-
-        def expr(p):
-            return sum((_sym(sympy, c) * xs[0] ** e[0] * xs[1] ** e[1]
-                        for e, c in p.terms.items()), sympy.Integer(0))
-
-        want = sympy.expand(sympy.resultant(expr(f), expr(g), xs[elim]))
+        want = sympy.expand(sympy.resultant(_biv_sym(sympy, f, xs),
+                                            _biv_sym(sympy, g, xs), xs[elim]))
         got = resultant_bivariate(f, g, elim)
         assert got == _from_sym(sympy, want, xs[1 - elim])
 
@@ -225,3 +260,64 @@ class TestSympyOracle:
         want = sympy.expand(sympy.interpolate(
             [(_sym(sympy, a), _sym(sympy, b)) for a, b in pts], x))
         assert lagrange_interpolate(pts) == _from_sym(sympy, want, x)
+
+    @settings(max_examples=30, deadline=None)
+    @given(_biv, _biv, _biv)
+    def test_biv_gcd(self, f, g, h):
+        sympy = pytest.importorskip("sympy")
+        a, b = f * h, g * h
+        if a.is_zero() or b.is_zero():
+            return
+        xs = sympy.symbols("x0 x1")
+        sa, sb = (sympy.Poly(_biv_sym(sympy, p, xs), *xs, domain=sympy.QQ_I)
+                  for p in (a, b))
+        want = MPoly(2, [(e, _crat(sympy, c))
+                         for e, c in sa.gcd(sb).terms()])
+        assert biv_gcd(a, b) == _lex_monic(want)
+
+    @settings(max_examples=30, deadline=None)
+    @given(_biv, _biv)
+    def test_biv_exact_div(self, f, g):
+        if g.is_zero():
+            return
+        assert biv_exact_div(f * g, g) == f
+
+    def test_biv_gcd_over_cyclotomic_field(self):
+        """(x - zeta y)(x + y) and (x - zeta y)(x - y) in Q(zeta_12): the
+        gcd is x - zeta y, as sympy finds over Q(sqrt(3), i)."""
+        sympy = pytest.importorskip("sympy")
+        field = CycField(12)
+        x = MPoly.monomial(2, (1, 0), field.one())
+        y = MPoly.monomial(2, (0, 1), field.one())
+        zeta = field.zeta(1)
+        a, b = (x - y.scale(zeta)) * (x + y), (x - y.scale(zeta)) * (x - y)
+        got = biv_gcd(a, b)
+        assert got == x - y.scale(zeta)
+        assert biv_exact_div(a, got) == x + y
+
+        xs = sympy.symbols("x0 x1")
+        z = sympy.sqrt(3) / 2 + sympy.I / 2      # exp(2 pi i / 12)
+
+        def lift(c):
+            return sum((sympy.Rational(q.numerator, q.denominator) * z ** k
+                        for k, q in enumerate(c.vec)), sympy.Integer(0))
+
+        want = sympy.gcd(_biv_sym(sympy, a, xs, lift),
+                         _biv_sym(sympy, b, xs, lift), extension=True)
+        diff = sympy.expand(_biv_sym(sympy, got, xs, lift) - want)
+        assert sympy.Poly(diff, *xs, extension=True).is_zero
+
+    @settings(max_examples=40, deadline=None)
+    @given(_matrices(square=True))
+    def test_det_field(self, m):
+        sympy = pytest.importorskip("sympy")
+        want = sympy.expand(sympy.Matrix(
+            [[_sym(sympy, c) for c in row] for row in m]).det())
+        assert det_field(m) == _crat(sympy, want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_matrices(square=False))
+    def test_rank_field(self, m):
+        sympy = pytest.importorskip("sympy")
+        want = sympy.Matrix([[_sym(sympy, c) for c in row] for row in m])
+        assert rank_field(m) == want.rank()
