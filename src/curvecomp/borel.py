@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from itertools import combinations
 
-from . import Frozen, Value
+from . import Frozen, Record, Value
 from .expfun import ExpPoly
 from .polys import Poly, as_crat, exact_roots, squarefree_decomposition
 from .scalars import CRat
@@ -112,14 +112,11 @@ class ExpSum(Frozen):
         return cls(terms, Poly.from_json(data["p1"]), Poly.from_json(data["p2"]), M)
 
 
-class AnalysisOutcome:
-    def __init__(self, kind: str, lam: CRat = None, gam: CRat = None,
-                 witness: dict = None):
-        # case1_contradiction | case2_proportional | degenerate_input
-        self.kind = kind
-        self.lam = lam
-        self.gam = gam
-        self.witness = {} if witness is None else witness
+class AnalysisOutcome(Record):
+    # kind: case1_contradiction | case2_proportional | degenerate_input
+    __slots__ = ("kind", "witness", "lam", "gam")
+    DEFAULTS = {"witness": dict, "lam": None, "gam": None}
+    JSON_NAMES = {"lam": "lambda", "gam": "gamma"}
 
     def omega0(self) -> str:
         if self.kind != "case2_proportional":
@@ -135,10 +132,10 @@ class AnalysisOutcome:
                 - p2.derivative().scale(self.gam)).is_zero()
 
     def to_json(self):
-        out = {"kind": self.kind, "witness": dict(self.witness)}
-        if self.lam is not None:
-            out["lambda"] = self.lam.to_json()
-            out["gamma"] = self.gam.to_json()
+        out = super().to_json()
+        if self.lam is None:
+            del out["lambda"], out["gamma"]
+        else:
             out["omega0"] = self.omega0()
         return out
 
@@ -264,11 +261,9 @@ def form_coefficients(s: ExpSum):
     return dvec
 
 
-class Factorization:
-    def __init__(self, lead, factors: list, exact: bool):
-        self.lead = lead           # CRat or complex
-        self.factors = factors     # [(lam, gam, exact: bool)]
-        self.exact = exact
+class Factorization(Record):
+    # lead: CRat or complex; factors: [(lam, gam, exact: bool)]
+    __slots__ = ("lead", "factors", "exact")
 
     def reconstruct_coeffs(self, M: int):
         """Multiply the linear factors back out (exact factorizations only)."""
@@ -356,7 +351,7 @@ def case2_conclude(s: ExpSum) -> AnalysisOutcome:
              "exact": ex} for l, gm, ex in fz.factors]
     else:
         witness["factors"] = "transcendental constants: factorization skipped"
-    out = AnalysisOutcome("case2_proportional", lam, gam, witness)
+    out = AnalysisOutcome("case2_proportional", witness, lam, gam)
     if not out.verify(s.p1, s.p2):
         raise AssertionError("annihilation verification failed (build bug)")
     return out
@@ -366,24 +361,10 @@ def case2_conclude(s: ExpSum) -> AnalysisOutcome:
 # case 1: numeric refutation of mixed classes
 # ---------------------------------------------------------------------------
 
-class Case1Report:
-    def __init__(self, L: int, radii: list, T: list, log_factor: float,
-                 logfit_residual: float, smt, refuted: bool, reason: str):
-        self.L = L
-        self.radii = radii
-        self.T = T
-        self.log_factor = log_factor
-        self.logfit_residual = logfit_residual
-        self.smt = smt             # nevanlinna.SmtReport or None
-        self.refuted = refuted
-        self.reason = reason
-
-    def to_json(self):
-        return {"L": self.L, "radii": self.radii, "T": self.T,
-                "log_factor": self.log_factor,
-                "logfit_residual": self.logfit_residual,
-                "smt": self.smt.to_json() if self.smt else None,
-                "refuted": self.refuted, "reason": self.reason}
+class Case1Report(Record):
+    # smt: nevanlinna.SmtReport or None
+    __slots__ = ("L", "radii", "T", "log_factor", "logfit_residual", "smt",
+                 "refuted", "reason")
 
 
 def _strip_common_poly_zeros(components):
@@ -429,8 +410,9 @@ def case1_refute(subset, radii=(4.0, 8.0, 16.0, 32.0),
                            None, True,
                            "two distinct classes: exp(nonconstant polynomial) "
                            "would equal a rational function")
-    from .nevanlinna import (ProjCurve, characteristic, fit_linear,
-                             log_bound_factor, smt_defect_on_sum_relation)
+    from .nevanlinna import (NevanlinnaError, ProjCurve, characteristic,
+                             fit_linear, log_bound_factor,
+                             smt_defect_on_sum_relation)
     components = _strip_common_poly_zeros(components)
     curve = ProjCurve(components)
     ts = [characteristic(curve, r) for r in radii]
@@ -445,7 +427,7 @@ def case1_refute(subset, radii=(4.0, 8.0, 16.0, 32.0),
         try:
             smt = smt_defect_on_sum_relation(components, radii,
                                              n_method="circle-mean")
-        except Exception:
+        except NevanlinnaError:
             smt = None
     refuted = factor >= factor_threshold
     reason = (f"T at r={radii[-1]:g} exceeds the log ray by x{factor:.3g}"
@@ -487,14 +469,14 @@ def degeneracy_pipeline(s: ExpSum) -> AnalysisOutcome:
                    "per_subset": [o.witness for o in outcomes]}
         if notes:
             witness["skipped"] = notes
-        final = AnalysisOutcome("case2_proportional", lam, gam, witness)
+        final = AnalysisOutcome("case2_proportional", witness, lam, gam)
         if not final.verify(s.p1, s.p2):
             raise AssertionError("pipeline verification failed")
         return final
     rho = _proportionality_ratio(s.p1.derivative(), s.p2.derivative())
     if rho is not None:
         return AnalysisOutcome(
-            "case2_proportional", CRat(1), rho.inverse(),
+            "case2_proportional", lam=CRat(1), gam=rho.inverse(),
             witness={"reason": "no subset constraint; proportional directly",
                      "skipped": notes})
     return AnalysisOutcome("degenerate_input", witness={

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement
 
-from . import Value
+from . import Record, Value
 
 
 class InvalidDegreeError(ValueError):
@@ -147,31 +147,20 @@ class LogChernReport(Value):
         }
 
 
-class TheoremVerdict:
-    def __init__(self, condition_i_pic: bool, condition_ii: bool,
-                 condition_iii: bool, main2_case: str = "none",
-                 mt_applicable: bool = False, notes: list = None):
-        self.condition_i_pic = condition_i_pic
-        self.condition_ii = condition_ii
-        self.condition_iii = condition_iii
-        self.main2_case = main2_case
-        self.mt_applicable = mt_applicable
-        self.notes = [] if notes is None else notes
+class TheoremVerdict(Record):
+    __slots__ = ("condition_i_pic", "condition_ii", "condition_iii",
+                 "main2_case", "mt_applicable", "notes")
+    DEFAULTS = {"main2_case": "none", "mt_applicable": False}
 
     @property
     def applicable(self) -> bool:
         return self.condition_i_pic and self.condition_ii and self.condition_iii
 
     def to_json(self):
-        return {
-            "condition_i_pic": self.condition_i_pic,
-            "condition_ii": self.condition_ii,
-            "condition_iii": self.condition_iii,
-            "main2_case": self.main2_case,
-            "mt_applicable": self.mt_applicable,
-            "applicable": self.applicable,
-            "notes": list(self.notes),
-        }
+        out = super().to_json()
+        out["applicable"] = self.applicable
+        out["notes"] = out.pop("notes")   # after "applicable"
+        return out
 
 
 def invariants(ci: CIData) -> LogChernReport:
@@ -188,16 +177,15 @@ def theorem_main_check(ci: CIData, pic_is_Z: bool) -> TheoremVerdict:
     """
     rep = invariants(ci)
     excess = rep.c1sq_minus_c2
-    v = TheoremVerdict(condition_i_pic=bool(pic_is_Z),
-                       condition_ii=excess > 0,
-                       condition_iii=rep.det_estar_degree >= 0)
+    notes = []
     if rep.det_estar_degree == 0:
         # determinant bundle has degree zero here; effectivity is only
         # guaranteed by triviality, so flag the edge rather than decide it
-        v.notes.append("degree of det(E*) is zero: borderline effectivity")
+        notes.append("degree of det(E*) is zero: borderline effectivity")
     if excess == 0:
-        v.notes.append("Chern-number criterion met with equality: borderline")
-    return v
+        notes.append("Chern-number criterion met with equality: borderline")
+    return TheoremVerdict(bool(pic_is_Z), excess > 0,
+                          rep.det_estar_degree >= 0, notes=notes)
 
 
 def classify_main2(ci: CIData, pic_is_Z: bool = False,
@@ -222,12 +210,12 @@ def classify_main2(ci: CIData, pic_is_Z: bool = False,
         case = "a"
     if case == "none" and r == 1 and generic_NL and ci.a[0] >= 4 and b >= 5:
         case = "b"
-    v.main2_case = case
     if case == "c" and not ci.is_plane():
         raise AssertionError("case c is reserved for the plane")
     bs = sorted(ci.b)
-    v.mt_applicable = ci.is_plane() and bs[0] >= 2 and bs[2] >= 3
-    return v
+    return TheoremVerdict(v.condition_i_pic, v.condition_ii, v.condition_iii,
+                          case, ci.is_plane() and bs[0] >= 2 and bs[2] >= 3,
+                          v.notes)
 
 
 def identity_check_main2c(b) -> bool:

@@ -38,7 +38,7 @@ from functools import reduce
 from itertools import combinations, zip_longest
 from operator import add, mul
 
-from . import Frozen
+from . import Frozen, Record
 from .expfun import EvalOverflowError, ExpPoly, compile_terms, eval_columns
 from .polys import MPoly, det_field, rank_field
 from .scalars import CRat
@@ -210,19 +210,8 @@ class HomDivisor(Frozen):
                    data.get("degree"))
 
 
-class GrowthReport:
-    def __init__(self, radii: list, values: list, fitted_slope: float,
-                 fitted_order: float, flags: list = None):
-        self.radii = radii
-        self.values = values
-        self.fitted_slope = fitted_slope
-        self.fitted_order = fitted_order
-        self.flags = [] if flags is None else flags
-
-    def to_json(self):
-        return {"radii": list(self.radii), "values": list(self.values),
-                "fitted_slope": self.fitted_slope,
-                "fitted_order": self.fitted_order, "flags": list(self.flags)}
+class GrowthReport(Record):
+    __slots__ = ("radii", "values", "fitted_slope", "fitted_order", "flags")
 
 
 # ---------------------------------------------------------------------------
@@ -862,23 +851,10 @@ def order_estimate(curve: ProjCurve, radii, tol: float = 1e-8) -> GrowthReport:
 # main theorem checks
 # ---------------------------------------------------------------------------
 
-class FmtReport:
-    def __init__(self, radii: list, counting: list, d_times_T: list,
-                 fitted_C: float, max_violation: float, defect: float,
-                 passed: bool):
-        self.radii = radii
-        self.counting = counting
-        self.d_times_T = d_times_T
-        self.fitted_C = fitted_C
-        self.max_violation = max_violation
-        self.defect = defect
-        self.passed = passed
-
-    def to_json(self):
-        return {"radii": self.radii, "counting": self.counting,
-                "d_times_T": self.d_times_T, "fitted_C": self.fitted_C,
-                "max_violation": self.max_violation, "defect": self.defect,
-                "pass": self.passed}
+class FmtReport(Record):
+    __slots__ = ("radii", "counting", "d_times_T", "fitted_C",
+                 "max_violation", "defect", "passed")
+    JSON_NAMES = {"passed": "pass"}
 
 
 def fmt_check(curve: ProjCurve, divisor: HomDivisor, radii,
@@ -923,24 +899,13 @@ def check_general_position(hyperplanes, n: int):
                 f"hyperplanes {list(idx)} are linearly dependent")
 
 
-class SmtReport:
-    def __init__(self, radii: list, T: list, N: list, delta: list,
-                 fit_slope: float, fit_intercept: float,
-                 relative_residual: float, log_factor_T: float,
-                 passed: bool):
-        self.radii = radii
-        self.T = T
-        self.N = N
-        self.delta = delta
-        self.fit_slope = fit_slope
-        self.fit_intercept = fit_intercept
-        self.relative_residual = relative_residual
-        self.log_factor_T = log_factor_T
-        self.passed = passed
+class SmtReport(Record):
+    __slots__ = ("radii", "T", "N", "delta", "fit_slope", "fit_intercept",
+                 "relative_residual", "log_factor_T", "passed")
 
     def to_json(self):
-        return {"radii": self.radii, "T": self.T, "N": self.N,
-                "delta": self.delta,
+        return {"radii": list(self.radii), "T": list(self.T),
+                "N": list(self.N), "delta": list(self.delta),
                 "fit": {"a": self.fit_slope, "b": self.fit_intercept},
                 "relative_residual": self.relative_residual,
                 "log_factor_T": self.log_factor_T, "pass": self.passed}

@@ -43,9 +43,9 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from . import Frozen, Value
-from .polys import (MPoly, Poly, biv_gcd, exact_roots, poly_gcd,
-                    resultant_bivariate, squarefree_decomposition)
+from . import Frozen, Record, Value
+from .polys import (ROOT_DPS, MPoly, Poly, biv_gcd, exact_roots, mp_roots,
+                    poly_gcd, resultant_bivariate, squarefree_decomposition)
 from .scalars import CRat
 
 
@@ -380,11 +380,8 @@ def _common_v_numeric(a1, a2, alpha):
     gives the first v; a further pair gives another only when it lies more
     than 1e-10 from every v kept.
     """
-    import mpmath as mp
-    q1 = _poly_at_numeric(a1, alpha)
-    q2 = _poly_at_numeric(a2, alpha)
-    r1 = mp.polyroots(q1, maxsteps=200, extraprec=120) if len(q1) > 1 else []
-    r2 = mp.polyroots(q2, maxsteps=200, extraprec=120) if len(q2) > 1 else []
+    r1 = mp_roots(_poly_at_numeric(a1, alpha))
+    r2 = mp_roots(_poly_at_numeric(a2, alpha))
     vs = []
     for d, x in sorted(((abs(x - y), x) for x in r1 for y in r2),
                        key=lambda dx: dx[0]):
@@ -397,7 +394,7 @@ def _common_v_numeric(a1, a2, alpha):
 
 def _poly_at_numeric(a: MPoly, alpha):
     import mpmath as mp
-    with mp.workdps(50):
+    with mp.workdps(ROOT_DPS):
         al = mp.mpc(alpha)
         vals = [c.eval([al], lambda q: mp.mpc(str(q.re), str(q.im)))
                 for c in a.as_univariate(1)]
@@ -435,18 +432,9 @@ def _vanishes(poly: MPoly, coords, exact: bool, tol: float) -> bool:
 # normal crossings
 # ---------------------------------------------------------------------------
 
-class CrossingsReport:
-    def __init__(self, passed: bool, smooth: list, pairwise: list,
-                 triple_points: list):
-        self.passed = passed
-        self.smooth = smooth
-        self.pairwise = pairwise
-        self.triple_points = triple_points
-
-    def to_json(self):
-        return {"pass": self.passed, "smooth": self.smooth,
-                "pairwise": self.pairwise,
-                "triple_points": [p.to_json() for p in self.triple_points]}
+class CrossingsReport(Record):
+    __slots__ = ("passed", "smooth", "pairwise", "triple_points")
+    JSON_NAMES = {"passed": "pass"}
 
 
 def normal_crossings(conf: Configuration, seed: int = 0) -> CrossingsReport:
@@ -486,19 +474,9 @@ def fulton_bound(d0: int, m_p: int, m_q: int) -> bool:
     return m_p * (m_p - 1) + m_q * (m_q - 1) <= (d0 - 1) * (d0 - 2)
 
 
-class CaseVerdict:
-    def __init__(self, d0: int, pattern: str, tangency: str, verdict: str,
-                 certificate: dict = None):
-        self.d0 = d0
-        self.pattern = pattern
-        self.tangency = tangency
-        self.verdict = verdict    # "impossible" | "survivor"
-        self.certificate = {} if certificate is None else certificate
-
-    def to_json(self):
-        return {"d0": self.d0, "pattern": self.pattern,
-                "tangency": self.tangency, "verdict": self.verdict,
-                "certificate": dict(self.certificate)}
+class CaseVerdict(Record):
+    # verdict: "impossible" | "survivor"
+    __slots__ = ("d0", "pattern", "tangency", "verdict", "certificate")
 
 
 def two_puncture_case_engine(degrees, d0_max: int):
@@ -774,20 +752,9 @@ def _build_tangent_line(curve, dual_of, points_of, lam0, mu0, is_exact):
     return TangentLine(dual, point, is_exact)
 
 
-class ExclusionReport:
-    def __init__(self, vacuous: bool, passed: bool, candidates: int,
-                 violations: list, notes: list = None):
-        self.vacuous = vacuous
-        self.passed = passed
-        self.candidates = candidates
-        self.violations = violations
-        self.notes = [] if notes is None else notes
-
-    def to_json(self):
-        return {"vacuous": self.vacuous, "pass": self.passed,
-                "candidates": self.candidates,
-                "violations": [v for v in self.violations],
-                "notes": list(self.notes)}
+class ExclusionReport(Record):
+    __slots__ = ("vacuous", "passed", "candidates", "violations", "notes")
+    JSON_NAMES = {"passed": "pass"}
 
 
 def quadric_line_exclusion(conf: Configuration) -> ExclusionReport:

@@ -633,7 +633,8 @@ def biv_gcd(a: MPoly, b: MPoly) -> MPoly:
                 g = Poly([Poly([1])])
                 break
             fa, fb = fb, _primitive(r)[0]
-        g = _to_biv(_primitive(g)[0].scale(poly_gcd(ca, cb)))
+        # g is primitive already: the last divisor fb, or 1
+        g = _to_biv(g.scale(poly_gcd(ca, cb)))
     if g.is_zero():
         return g
     # canonical: leading (lex-largest) coefficient one
@@ -797,13 +798,20 @@ SNAP_DEN = 10 ** 9       # largest denominator a root is snapped to
 
 def poly_roots_numeric(p: Poly):
     """ROOT_DPS-digit roots of a (preferably squarefree) polynomial."""
-    if p.degree < 1:
+    import mpmath as mp
+    with mp.workdps(ROOT_DPS):
+        return mp_roots([mp.mpc(str(c.re), str(c.im))
+                         for c in reversed(p.coeffs)])
+
+
+def mp_roots(cs):
+    """ROOT_DPS-digit roots of the polynomial whose mpmath coefficients cs
+    run from the highest degree down."""
+    if len(cs) < 2:
         return []
     import mpmath as mp
     with mp.workdps(ROOT_DPS):
-        cs = [mp.mpc(str(c.re), str(c.im)) for c in reversed(p.coeffs)]
-        roots = mp.polyroots(cs, maxsteps=200, extraprec=120)
-    return list(roots)
+        return list(mp.polyroots(cs, maxsteps=200, extraprec=120))
 
 
 def _binary_fraction(x) -> Fraction:

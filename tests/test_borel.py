@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from curvecomp import nevanlinna as nev
 from curvecomp.borel import (AnalysisOutcome, BorelError, ExpSum, ExpTerm,
                              InconsistentCase2Error, NotAnIdentityError,
                              NotCase1Error, case1_refute, case2_conclude,
@@ -177,6 +178,24 @@ class TestCase1:
         assert rep.log_factor >= 10
         assert rep.logfit_residual > 0.05
         assert rep.smt is not None and rep.smt.relative_residual < 0.05
+
+    def test_only_a_nevanlinna_error_drops_the_smt_data(self, monkeypatch):
+        e1, e2 = exp_of(ETA), exp_of(XI2)
+        summands = [e1, e2, -(e1 + e2)]
+
+        def failing(err):
+            def smt(*args, **kwargs):
+                raise err
+            return smt
+
+        monkeypatch.setattr(nev, "smt_defect_on_sum_relation",
+                            failing(nev.DegenerateCurveError("degenerate")))
+        rep = case1_refute(summands, radii=self.WITNESS_RADII)
+        assert rep.refuted and rep.smt is None
+        monkeypatch.setattr(nev, "smt_defect_on_sum_relation",
+                            failing(AssertionError("broken invariant")))
+        with pytest.raises(AssertionError, match="broken invariant"):
+            case1_refute(summands, radii=self.WITNESS_RADII)
 
     def test_two_summands_syntactic(self):
         rep = case1_refute([exp_of(ETA), ExpPoly.from_poly(ETA).scale(-1)])
