@@ -96,8 +96,8 @@ def _parse_complex(spec: str) -> complex:
     return complex(spec.replace(" ", "").replace("i", "j"))
 
 
-def _load_exppoly(path):
-    return _exppoly_from(_read_json(path))
+def _from_file(parse):
+    return lambda path: parse(_read_json(path))
 
 
 def _exppoly_from(data):
@@ -107,6 +107,9 @@ def _exppoly_from(data):
     if not isinstance(data, list):
         raise SchemaError("exponential polynomial JSON must be a term array")
     return ExpPoly.from_json(data)
+
+
+_load_exppoly = _from_file(_exppoly_from)
 
 
 def _curve_from(data):
@@ -189,10 +192,6 @@ def _cmd_chern_enumerate(args):
 # ---------------------------------------------------------------------------
 # nev group
 # ---------------------------------------------------------------------------
-
-def _from_file(parse):
-    return lambda path: parse(_read_json(path))
-
 
 # nev input -> (its flag's argparse options, read the flag's value, read
 # the --input payload's value)
@@ -405,10 +404,17 @@ def _cmd_expfun_combine(args):
     from .expfun import combine
     from .scalars import CRat
     f = _load_exppoly(args.f)
-    if args.op == "scale":
-        g = CRat(Fraction(args.scalar))
-    else:
+    flag, stray = ("scalar", "g") if args.op == "scale" else ("g", "scalar")
+    if getattr(args, flag) is None or getattr(args, stray) is not None:
+        raise SchemaError(f"--op {args.op} takes --{flag} and no --{stray}")
+    if flag == "g":
         g = _load_exppoly(args.g)
+    else:
+        try:
+            g = CRat(Fraction(args.scalar))
+        except (ValueError, ZeroDivisionError):
+            raise SchemaError(f"--scalar must be a rational number, got "
+                              f"{args.scalar!r}") from None
     return {"result": combine(args.op, f, g).to_json(), "meta": _meta(args)}
 
 

@@ -129,25 +129,6 @@ class ProjCurve(Frozen):
             acc = [a + exp(2.0 * (l - m)) for a, l, m in zip(acc, col, ms)]
         return [2.0 * m + log(a) if a else ninf for m, a in zip(ms, acc)]
 
-    def check_no_common_zeros(self) -> bool:
-        """Best-effort check that the components share no zero.
-
-        Single-term components vanish exactly on their coefficient
-        polynomial, so that case is decided by an exact gcd; otherwise 64
-        seeded random points probe for very small joint values (heuristic).
-        """
-        if all(len(c.terms) == 1 for c in self.components):
-            from .polys import poly_gcd_many
-            g = poly_gcd_many([c.terms[0].coeff for c in self.components])
-            return g.degree < 1
-        import random
-        rng = random.Random(0)
-        for _ in range(64):
-            z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            if self.log_norm_sq(z) < -80.0:
-                return False
-        return True
-
     def to_json(self):
         return {"components": [c.to_json() for c in self.components]}
 
@@ -899,6 +880,9 @@ def check_general_position(hyperplanes, n: int):
                 f"hyperplanes {list(idx)} are linearly dependent")
 
 
+SMT_RESID_TOL = 0.05     # an SMT fit passes below this relative residual
+
+
 class SmtReport(Record):
     __slots__ = ("radii", "T", "N", "delta", "fit_slope", "fit_intercept",
                  "relative_residual", "log_factor_T", "passed")
@@ -912,7 +896,8 @@ class SmtReport(Record):
 
 
 def smt_check(curve: ProjCurve, hyperplanes, radii,
-              resid_tol: float = 0.05, n_method: str = "winding") -> SmtReport:
+              resid_tol: float = SMT_RESID_TOL,
+              n_method: str = "winding") -> SmtReport:
     """Second-main-theorem defect check against a fitted a*log r + b.
 
     delta(r) = (q-n-1) T(r) - sum_j N(H_j, r) should stay within log-size
@@ -937,7 +922,6 @@ def smt_check(curve: ProjCurve, hyperplanes, radii,
 
 
 def smt_defect_on_sum_relation(components, radii,
-                               resid_tol: float = 0.05,
                                n_method: str = "winding") -> SmtReport:
     """SMT defect for summand curves living in the hyperplane sum(z) = 0.
 
@@ -963,7 +947,7 @@ def smt_defect_on_sum_relation(components, radii,
     radii = sorted(float(r) for r in radii)
     return _smt_report(ProjCurve(comps), radii, 1, comps,
                        lambda c, rs: _counting_radii(c, rs, method=n_method),
-                       resid_tol)
+                       SMT_RESID_TOL)
 
 
 def _smt_report(curve, radii, weight, targets, count, resid_tol):

@@ -31,9 +31,10 @@ substitution) before numeric ones.  Over an exact root the fibre is the
 squarefree part of the gcd of the two specialised polynomials, so a
 repeated fibre root is found once, and a linear fibre gives its root
 exactly; over a numeric root the fibre roots of the two polynomials that
-agree to 1e-12 are matched.  A point with a numeric coordinate is flagged
-inexact.  A numeric tangent line is accepted when every minor is below the
-absolute bound ``1e-10 (1 + |lam| + |mu|)^8`` in its chart coordinates.
+agree to 1e-12 are matched.  A point or line is exact when every coordinate
+is a CRat, as the one predicate ``_exact`` reads off the data.  A numeric
+tangent line is accepted when every minor is below the absolute bound
+``1e-10 (1 + |lam| + |mu|)^8`` in its chart coordinates.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from . import Frozen, Record, Value
 from .polys import (ROOT_DPS, MPoly, Poly, biv_gcd, exact_roots, mp_roots,
@@ -184,68 +185,78 @@ def _change_schedule(seed: int, attempts: int = 6):
 # ---------------------------------------------------------------------------
 
 class ProjPoint(Value):
-    """Projective point with exact coordinates when available."""
+    """Projective point: a CRat triple when exact, else a complex triple."""
 
-    __slots__ = ("coords", "exact")
+    __slots__ = ("coords",)
 
-    def __init__(self, coords: tuple, exact: bool):
-        # coords: a CRat triple (exact) or a complex triple (numeric)
+    def __init__(self, coords: tuple):
         object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "exact", exact)
+
+    @property
+    def exact(self) -> bool:
+        return _exact(self.coords)
 
     def _key(self):
-        return (self.coords, self.exact)
+        return self.coords
 
     @classmethod
-    def from_exact(cls, cs):
+    def of(cls, cs):
+        """cs scaled: exact to a first nonzero entry 1, else complex to a
+        largest modulus 1."""
         cs = tuple(cs)
-        for c in cs:
-            if not c.is_zero():
-                inv = c.inverse()
-                return cls(tuple(x * inv for x in cs), True)
+        if _exact(cs):
+            for c in cs:
+                if not c.is_zero():
+                    inv = c.inverse()
+                    return cls(tuple(x * inv for x in cs))
+        else:
+            cs = tuple(complex(c) for c in cs)
+            mx = max(abs(c) for c in cs)
+            if mx != 0:
+                return cls(tuple(c / mx for c in cs))
         raise ValueError("zero vector is not a projective point")
 
-    @classmethod
-    def from_numeric(cls, cs):
-        cs = tuple(complex(c) for c in cs)
-        mx = max(abs(c) for c in cs)
-        if mx == 0:
-            raise ValueError("zero vector is not a projective point")
-        cs = tuple(c / mx for c in cs)
-        return cls(cs, False)
-
     def same_as(self, other: "ProjPoint") -> bool:
-        return _proportional(self.coords, other.coords,
-                             self.exact and other.exact)
+        return _proportional(self.coords, other.coords)
 
     def to_json(self):
-        if self.exact:
-            return {"exact": True, "coords": [c.to_json() for c in self.coords]}
-        return {"exact": False,
-                "coords": [[c.real, c.imag] for c in self.coords]}
+        return {"exact": self.exact, "coords": _triple_json(self.coords)}
 
     def __repr__(self):
-        if self.exact:
-            return "(" + " : ".join(str(c) for c in self.coords) + ")"
-        return "(" + " : ".join(f"{c:.6g}" for c in self.coords) + ")"
+        form = str if self.exact else "{:.6g}".format
+        return "(" + " : ".join(map(form, self.coords)) + ")"
 
 
-def _proportional(a, b, exact: bool, scaled: bool = False):
+def _exact(values) -> bool:
+    """Are all values exact scalars, so that they compute exactly?"""
+    return all(isinstance(c, CRat) for c in values)
+
+
+def _triple_json(cs):
+    return ([c.to_json() for c in cs] if _exact(cs)
+            else [[c.real, c.imag] for c in cs])
+
+
+def _cross(a, b):
+    """a x b: its entries are the 2x2 minors a_i b_j - a_j b_i of (a, b)."""
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
+
+
+def _proportional(a, b, scaled: bool = False):
     """Do the triples a and b span the same projective point?
 
-    Exact triples compare exactly.  Otherwise every 2x2 minor a_i b_j -
+    Two exact triples compare exactly.  Otherwise every 2x2 minor a_i b_j -
     a_j b_i must be at most SAME_TOL in modulus, or at most
     SAME_TOL * max|a_i| * max|b_i| when scaled.
     """
-    pairs = ((0, 1), (0, 2), (1, 2))
-    if exact:
-        return all((a[i] * b[j] - a[j] * b[i]).is_zero() for i, j in pairs)
-    a = [complex(c) for c in a]
-    b = [complex(c) for c in b]
+    if _exact(a) and _exact(b):
+        return all(c.is_zero() for c in _cross(a, b))
+    a, b = [complex(c) for c in a], [complex(c) for c in b]
     tol = SAME_TOL
     if scaled:
         tol = tol * max(abs(x) for x in a) * max(abs(x) for x in b)
-    return not any(abs(a[i] * b[j] - a[j] * b[i]) > tol for i, j in pairs)
+    return not any(abs(c) > tol for c in _cross(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -304,10 +315,8 @@ def _intersections_in_chart(c1, c2, matrix):
             raise DegenerateChangeError(
                 "two intersections share an abscissa" if vs
                 else "eliminant root without a fiber point")
-        coords = _apply_matrix(matrix, (u, vs[0], CRat(1)))
-        pt = ProjPoint.from_exact(coords) if isinstance(vs[0], CRat) \
-            else ProjPoint.from_numeric(coords)
-        out.append((pt, mult))
+        out.append((ProjPoint.of(_apply_matrix(matrix, (u, vs[0], CRat(1)))),
+                    mult))
     total = sum(m for _, m in out)
     if total != d1 * d2:
         raise AssertionError(f"Bezout total {total} != {d1 * d2} (build bug)")
@@ -323,7 +332,7 @@ def _point_sort_key(pm):
 def _apply_matrix(matrix, y):
     """matrix times the column y: exact when every y_j is a CRat, else in
     complex numbers."""
-    if not all(isinstance(c, CRat) for c in y):
+    if not _exact(y):
         matrix = [[c.to_complex() for c in row] for row in matrix]
         y = [complex(c) for c in y]
     return tuple(sum(a * b for a, b in zip(row, y)) for row in matrix)
@@ -416,14 +425,14 @@ def _bivariate_common_zero(f: MPoly, g: MPoly, witness: MPoly) -> bool:
 
 
 def _candidates_hit(f, g, witness, eliminant: Poly) -> bool:
-    return any(_vanishes(witness, (u, v), isinstance(v, CRat), 1e-10)
+    return any(_vanishes(witness, (u, v), 1e-10)
                for u, vs, _ in _common_zeros(f, g, eliminant) for v in vs)
 
 
-def _vanishes(poly: MPoly, coords, exact: bool, tol: float) -> bool:
-    """Is poly zero at coords: exactly, or else below tol in modulus with
-    coords and coefficients taken as complex numbers?"""
-    if exact:
+def _vanishes(poly: MPoly, coords, tol: float) -> bool:
+    """Is poly zero at coords: exactly when they are exact, or else below tol
+    in modulus with coords and coefficients taken as complex numbers?"""
+    if _exact(coords):
         return poly.eval(coords).is_zero()
     return abs(poly.eval([complex(c) for c in coords], CRat.to_complex)) < tol
 
@@ -455,7 +464,7 @@ def normal_crossings(conf: Configuration, seed: int = 0) -> CrossingsReport:
                 "worst_multiplicity": worst,
             })
     triples = [pt for pt, _m in points[(0, 1)]
-               if _vanishes(conf.curves[2].poly, pt.coords, pt.exact, 1e-9)]
+               if _vanishes(conf.curves[2].poly, pt.coords, 1e-9)]
     passed = all(smooth) and all(p["transversal"] for p in pairwise) \
         and not triples
     return CrossingsReport(passed, smooth, pairwise, triples)
@@ -486,8 +495,8 @@ def two_puncture_case_engine(degrees, d0_max: int):
     P sits on two components.  Either Q sits on the remaining component only,
     or Q sits on a second crossing sharing one component with P.  Transversal
     single-point meetings force m = d_component * d0; a two-point transversal
-    split on the shared component forces m_P + m_Q = d_shared * d0.  Each
-    branch is closed off by the multiplicity window or survives.
+    split on the shared component forces m_P + m_Q = d_shared * d0, and only
+    a split can fit the multiplicity window and survive.
     """
     degrees = tuple(int(d) for d in degrees)
     if len(degrees) != 3 or min(degrees) < 2 or max(degrees) < 3:
@@ -496,74 +505,56 @@ def two_puncture_case_engine(degrees, d0_max: int):
     if d0_max < 1:
         raise PlaneConfError(f"d0_max must be >= 1, got {d0_max}")
     verdicts = []
+
+    def forced(d0, pattern, tag, equation, m, **fields):
+        # a component of degree d meeting A transversally at one point alone
+        # forces m = d * d0 >= 2 d0 there (every degree is >= 2), which fits
+        # neither the window's m < d0 nor its exception d0 = m = 1
+        verdicts.append(CaseVerdict(d0, pattern, tag, "impossible", {
+            "equation": f"{equation} = {m}",
+            "eq_star_holds": eq_star(d0, m, 1), **fields}))
+
     for d0 in range(1, d0_max + 1):
         for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
             pattern = f"P in C{i + 1} and C{j + 1}; Q in C{k + 1} only"
             # at a normal crossing A is tangent to at most one branch, so at
-            # least one of C_i, C_j meets A transversally, entirely at P
-            for tangent in (None, i, j):
-                trans = j if tangent == i else i
-                m_p = degrees[trans] * d0
-                cert = {
-                    "equation": f"m_P = I(P, A.C{trans + 1}) = "
-                                f"{degrees[trans]}*{d0} = {m_p}",
-                    "eq_star_holds": eq_star(d0, m_p, 1),
-                    "fulton_with_mQ_1": fulton_bound(d0, m_p, 1),
-                    "m_P": m_p, "m_Q_free": True,
-                }
-                tag = f"A tangent to C{tangent + 1} at P" if tangent is not None \
-                    else "A transversal at P"
-                verdicts.append(CaseVerdict(
-                    d0, pattern, tag,
-                    "survivor" if eq_star(d0, m_p, 1) and m_p == 1
-                    else "impossible", cert))
+            # least one of C_i, C_j (C_c) meets A transversally, entirely at P
+            for tag, c in (("A transversal at P", i),
+                           (f"A tangent to C{i + 1} at P", j),
+                           (f"A tangent to C{j + 1} at P", i)):
+                m = degrees[c] * d0
+                forced(d0, pattern, tag,
+                       f"m_P = I(P, A.C{c + 1}) = {degrees[c]}*{d0}", m,
+                       fulton_with_mQ_1=fulton_bound(d0, m, 1), m_P=m,
+                       m_Q_free=True)
         for shared in (0, 1, 2):
-            others = [x for x in (0, 1, 2) if x != shared]
-            i, k = others
+            i, k = (x for x in (0, 1, 2) if x != shared)
             pattern = (f"P in C{i + 1} and C{shared + 1}; "
                        f"Q in C{shared + 1} and C{k + 1}")
-            for tang_i in (False, True):
-                for tang_k in (False, True):
-                    tag = (f"tangent to C{i + 1} at P: {tang_i}; "
-                           f"tangent to C{k + 1} at Q: {tang_k}")
-                    if not tang_i:
-                        m_p = degrees[i] * d0
-                        cert = {"equation": f"m_P = {degrees[i]}*{d0} = {m_p}",
-                                "eq_star_holds": eq_star(d0, m_p, 1),
-                                "m_P": m_p}
-                        verdicts.append(CaseVerdict(
-                            d0, pattern, tag,
-                            "survivor" if eq_star(d0, m_p, 1) and m_p == 1
-                            else "impossible", cert))
-                        continue
-                    if not tang_k:
-                        m_q = degrees[k] * d0
-                        cert = {"equation": f"m_Q = {degrees[k]}*{d0} = {m_q}",
-                                "eq_star_holds": eq_star(d0, 1, m_q),
-                                "m_Q": m_q}
-                        verdicts.append(CaseVerdict(
-                            d0, pattern, tag,
-                            "survivor" if eq_star(d0, 1, m_q) and m_q == 1
-                            else "impossible", cert))
-                        continue
-                    # tangent to both outer components: the shared component
-                    # is transversal at P and Q, so m_P + m_Q = d_shared * d0
-                    ds = degrees[shared]
-                    split = ds * d0
-                    solutions = [(mp_, split - mp_)
-                                 for mp_ in range(1, split)
-                                 if eq_star(d0, mp_, split - mp_)]
-                    cert = {"equation": f"m_P + m_Q = {ds}*{d0} = {split}",
-                            "window_solutions": solutions}
-                    if solutions:
-                        cert["shared_degree"] = ds
-                        verdicts.append(CaseVerdict(
-                            d0, pattern, tag, "survivor", cert))
-                    else:
-                        cert["reason"] = ("no multiplicity split satisfies "
-                                          "the window")
-                        verdicts.append(CaseVerdict(
-                            d0, pattern, tag, "impossible", cert))
+            for tang_i, tang_k in product((False, True), repeat=2):
+                tag = (f"tangent to C{i + 1} at P: {tang_i}; "
+                       f"tangent to C{k + 1} at Q: {tang_k}")
+                if not (tang_i and tang_k):
+                    # C_i transversal meets A at P alone, else C_k at Q alone
+                    side, c = ("Q", k) if tang_i else ("P", i)
+                    m = degrees[c] * d0
+                    forced(d0, pattern, tag, f"m_{side} = {degrees[c]}*{d0}",
+                           m, **{f"m_{side}": m})
+                    continue
+                # tangent to both outer components: the shared component is
+                # transversal at P and Q, so m_P + m_Q = d_shared * d0
+                ds = degrees[shared]
+                split = ds * d0
+                solutions = [(mp_, split - mp_) for mp_ in range(1, split)
+                             if eq_star(d0, mp_, split - mp_)]
+                cert = {"equation": f"m_P + m_Q = {ds}*{d0} = {split}",
+                        "window_solutions": solutions}
+                cert.update({"shared_degree": ds} if solutions else
+                            {"reason": "no multiplicity split satisfies "
+                                       "the window"})
+                verdicts.append(CaseVerdict(
+                    d0, pattern, tag,
+                    "survivor" if solutions else "impossible", cert))
     return verdicts
 
 
@@ -576,25 +567,22 @@ def surviving_cases(verdicts):
 # ---------------------------------------------------------------------------
 
 class TangentLine(Frozen):
-    __slots__ = ("dual", "point", "exact")
+    __slots__ = ("dual", "point")
 
-    def __init__(self, dual: tuple, point: ProjPoint, exact: bool):
-        # dual: the line's coefficients, a CRat or complex triple; point:
-        # the single contact point
+    def __init__(self, dual: tuple, point: ProjPoint):
+        # dual: the line's coefficients; point: the single contact point
         object.__setattr__(self, "dual", dual)
         object.__setattr__(self, "point", point)
-        object.__setattr__(self, "exact", exact)
+
+    @property
+    def exact(self) -> bool:
+        return _exact(self.dual)
 
     def same_line(self, other: "TangentLine") -> bool:
-        return _proportional(self.dual, other.dual,
-                             self.exact and other.exact, scaled=True)
+        return _proportional(self.dual, other.dual, scaled=True)
 
     def to_json(self):
-        if self.exact:
-            dual = [c.to_json() for c in self.dual]
-        else:
-            dual = [[c.real, c.imag] for c in self.dual]
-        return {"dual": dual, "exact": self.exact,
+        return {"dual": _triple_json(self.dual), "exact": self.exact,
                 "point": self.point.to_json()}
 
 
@@ -640,7 +628,7 @@ def total_tangent_lines(curve: PlaneCurve):
 
     Supported for degrees 3..4 (the rank-one system is solved by pairwise
     resultants with exact verification; candidates found only numerically
-    are kept and flagged inexact).  On a conic every tangent line is a
+    are kept as numeric lines).  On a conic every tangent line is a
     total tangent, a one-parameter family rather than a finite set, so
     degree 2 is refused up front like degrees 1 and 5+.
     """
@@ -674,19 +662,15 @@ def total_tangent_lines(curve: PlaneCurve):
         if not minors:
             raise PlaneConfError(
                 "every line is a total tangent: degenerate curve")
-        sols = _solve_rank_one(minors)
-        for lam0, mu0, is_exact in sols:
-            tl = _build_tangent_line(curve, dual_of, points_of, lam0, mu0,
-                                     is_exact)
-            if tl is None:
-                continue
-            if not any(tl.same_line(t) for t in found):
+        for lam0, mu0 in _solve_rank_one(minors):
+            tl = _build_tangent_line(curve, dual_of, points_of, lam0, mu0)
+            if tl is not None and not any(tl.same_line(t) for t in found):
                 found.append(tl)
     return found
 
 
 def _solve_rank_one(minors):
-    """Common zeros of the minor system, exact-first, fully verified."""
+    """Common zeros (lam, mu) of the minors, exact-first, fully verified."""
     for g1, g2 in combinations(minors, 2):
         res = resultant_bivariate(g1, g2, elim=1)
         if res.is_zero():
@@ -694,62 +678,53 @@ def _solve_rank_one(minors):
         sols = []
         for lam0, mus, _ in _common_zeros(g1, g2, res):
             for mu0 in mus:
-                exact = isinstance(mu0, CRat)
-                if exact:
-                    pt, tol = (lam0, mu0), 0.0
-                else:
+                pt, tol = (lam0, mu0), 0.0
+                if not _exact(pt):
                     pt = (complex(lam0), complex(mu0))
                     tol = 1e-10 * (1.0 + abs(pt[0]) + abs(pt[1])) ** 8
-                if all(_vanishes(m, pt, exact, tol) for m in minors):
-                    sols.append(pt + (exact,))
+                if all(_vanishes(m, pt, tol) for m in minors):
+                    sols.append(pt)
         return sols
     raise PlaneConfError("rank-one system degenerate in every direction")
 
 
-def _build_tangent_line(curve, dual_of, points_of, lam0, mu0, is_exact):
-    """The line at chart parameters (lam0, mu0) with its contact point, or
+def _build_tangent_line(curve, dual_of, points_of, lam, mu):
+    """The line at chart parameters (lam, mu) with its contact point, or
     None when the curve restricts to zero or to no perfect power on it."""
-    if is_exact:
-        dual = tuple(dual_of(lam0, mu0))
-        p1, p2 = points_of(lam0, mu0)
-        lift, zero, one = (lambda c: c), CRat(0), CRat(1)
+    exact = _exact((lam, mu))
+    if exact:
+        vec, lift, zero, one = tuple, (lambda c: c), CRat(0), CRat(1)
     else:
-        lamc, muc = complex(lam0), complex(mu0)
-
-        def numeric(vec):
-            # the chart entries are 0, 1, +-lamc or +-muc, so exact; + 0j
+        def vec(entries):
+            # the chart entries are 0, 1, +-lam or +-mu, so exact; + 0j
             # turns the -0.0 parts that negation leaves into 0.0
-            return tuple(complex(c) + 0j for c in vec)
+            return tuple(complex(c) + 0j for c in entries)
 
-        dual = numeric(dual_of(lamc, muc))
-        p1, p2 = (numeric(p) for p in points_of(lamc, muc))
         lift, zero, one = CRat.to_complex, 0.0, 1.0
+    dual = vec(dual_of(lam, mu))
+    p1, p2 = (vec(p) for p in points_of(lam, mu))
     d = curve.degree
     avec = _restrict_to_line(curve.poly, p1, p2, lift)
     bq = [avec[q] / _BINOM[d][q] for q in range(d + 1)]
     if all(b == 0 for b in bq):
         return None  # line inside the curve: not a tangent line
-    if is_exact:
-        small = CRat.is_zero
+    if exact:
+        small = [b.is_zero() for b in bq]
     else:
-        lead = max(abs(b) for b in bq)
-
-        def small(b):
-            return abs(b) < 1e-18 * lead
-
-    if all(small(b) for b in bq[:-1]):
+        tiny = 1e-18 * max(abs(b) for b in bq)
+        small = [abs(b) < tiny for b in bq]
+    if all(small[:-1]):
         s, t = zero, one
-    elif small(bq[0]):
+    elif small[0]:
         return None  # not a perfect power (rank check failed)
     else:
         s, t = one, -(bq[1] / bq[0])
     pt = tuple(s * a + t * b for a, b in zip(p1, p2))
     try:
-        point = ProjPoint.from_exact(pt) if is_exact \
-            else ProjPoint.from_numeric(pt)
+        point = ProjPoint.of(pt)
     except ValueError:
         return None
-    return TangentLine(dual, point, is_exact)
+    return TangentLine(dual, point)
 
 
 class ExclusionReport(Record):
@@ -781,31 +756,24 @@ def quadric_line_exclusion(conf: Configuration) -> ExclusionReport:
         raise UnsupportedDegreeError(
             "two line components: the candidate family is not finite")
     tangent_sets = [total_tangent_lines(c) for c in heavy]
-    violations = []
-    candidates = 0
+    # candidates: (line, its contact point with the other component)
     if len(heavy) == 2:
-        for t1 in tangent_sets[0]:
-            for t2 in tangent_sets[1]:
-                if not t1.same_line(t2):
-                    continue
-                candidates += 1
-                v = _check_quadric_condition(quadric, t1, t2.point)
-                if v is not None:
-                    violations.append(v)
+        candidates = [(t1, t2.point) for t1 in tangent_sets[0]
+                      for t2 in tangent_sets[1] if t1.same_line(t2)]
     else:
         # one line component: every total tangent of the heavy component
         # meets the line component once automatically
-        line_curve = line_curves[0]
+        candidates = []
         for t1 in tangent_sets[0]:
-            other_pt = _line_line_meet(t1, line_curve)
+            other_pt = _line_line_meet(t1, line_curves[0])
             if other_pt is None:
                 notes.append("candidate equals the line component: skipped")
-                continue
-            candidates += 1
-            v = _check_quadric_condition(quadric, t1, other_pt)
-            if v is not None:
-                violations.append(v)
-    return ExclusionReport(False, not violations, candidates, violations, notes)
+            else:
+                candidates.append((t1, other_pt))
+    violations = [v for v in (_check_quadric_condition(quadric, t, q)
+                              for t, q in candidates) if v is not None]
+    return ExclusionReport(False, not violations, len(candidates), violations,
+                           notes)
 
 
 def _line_line_meet(tl: TangentLine, line_curve: PlaneCurve):
@@ -814,17 +782,12 @@ def _line_line_meet(tl: TangentLine, line_curve: PlaneCurve):
         b[e.index(1)] = c
     a = tl.dual
     if not tl.exact:
-        a = [complex(c) for c in a]
-        b = [c.to_complex() for c in b]
-    cross = (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
-             a[0] * b[1] - a[1] * b[0])
-    if tl.exact:
-        if all(c.is_zero() for c in cross):
-            return None
-        return ProjPoint.from_exact(cross)
-    if max(abs(c) for c in cross) < 1e-12:
+        a, b = [complex(c) for c in a], [complex(c) for c in b]
+    cross = _cross(a, b)
+    if all(c.is_zero() for c in cross) if tl.exact \
+            else max(abs(c) for c in cross) < 1e-12:
         return None
-    return ProjPoint.from_numeric(cross)
+    return ProjPoint.of(cross)
 
 
 def _check_quadric_condition(quadric: PlaneCurve, tline: TangentLine,
@@ -834,9 +797,11 @@ def _check_quadric_condition(quadric: PlaneCurve, tline: TangentLine,
     p, q = tline.point, other_point
     if p.same_as(q):
         return None
+    # both points are tested numerically unless they and the line are exact
     exact = p.exact and q.exact and tline.exact
-    if _vanishes(quadric.poly, p.coords, exact, 1e-10) and \
-            _vanishes(quadric.poly, q.coords, exact, 1e-10):
+    tests = [x.coords if exact else [complex(c) for c in x.coords]
+             for x in (p, q)]
+    if all(_vanishes(quadric.poly, coords, 1e-10) for coords in tests):
         return {"line": tline.to_json(), "P": p.to_json(), "Q": q.to_json(),
                 "exact": exact}
     return None

@@ -235,6 +235,29 @@ class TestExpfunCli:
                              ["expfun", "iszero", "--f", str(f)])
         assert code == 0 and doc["is_zero"] is True
 
+    @pytest.mark.parametrize("operands, message", [
+        (["--op", "add"], "--op add takes --g and no --scalar"),
+        (["--op", "multiply"], "--op multiply takes --g and no --scalar"),
+        (["--op", "multiply", "--g", "@f", "--scalar", "2"],
+         "--op multiply takes --g and no --scalar"),
+        (["--op", "scale"], "--op scale takes --scalar and no --g"),
+        (["--op", "scale", "--scalar", "2", "--g", "@f"],
+         "--op scale takes --scalar and no --g"),
+        (["--op", "scale", "--scalar", "1/0"],
+         "--scalar must be a rational number, got '1/0'"),
+        (["--op", "scale", "--scalar", "half"],
+         "--scalar must be a rational number, got 'half'"),
+    ])
+    def test_combine_operand_errors_name_the_flag(self, tmp_path, operands,
+                                                  message):
+        f = tmp_path / "f.json"
+        f.write_text(json.dumps([{"coeff": [[1, 1, 0, 1]], "exp": []}]))
+        argv = [str(f) if a == "@f" else a for a in operands]
+        code, doc = run_json(tmp_path, "o.json",
+                             ["expfun", "combine", "--f", str(f)] + argv)
+        assert code == 1 and doc["error"] == {"type": "SchemaError",
+                                              "message": message}
+
 
 class TestErrors:
     def test_schema_error_envelope(self, tmp_path):

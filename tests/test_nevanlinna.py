@@ -114,11 +114,6 @@ class TestCharacteristic:
         assert v == pytest.approx(math.log(25) / 2, abs=1e-8)
         assert characteristic(f, 70.0) - v == pytest.approx(0.0, abs=1e-8)
 
-    def test_common_zero_check(self):
-        assert curve(ONE, E_XI).check_no_common_zeros()
-        shared = ExpPoly.from_poly(XI)
-        assert not curve(shared, shared.scale(2)).check_no_common_zeros()
-
     def test_slope_of_linear_curve(self):
         radii = [10, 31.6, 100, 316, 1000]
         vals = [characteristic(curve(ONE, ExpPoly.from_poly(XI)), r)

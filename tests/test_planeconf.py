@@ -9,7 +9,8 @@ import pytest
 
 from curvecomp.planeconf import (Configuration, NonCoprimeError, PlaneCurve,
                                  PlaneConfError, ProjPoint, TangentLine,
-                                 UnsupportedDegreeError, eq_star, fulton_bound,
+                                 UnsupportedDegreeError, _line_line_meet,
+                                 eq_star, fulton_bound,
                                  intersection_points, normal_crossings,
                                  quadric_line_exclusion, surviving_cases,
                                  total_tangent_lines,
@@ -39,14 +40,14 @@ FERMAT = curve([((3, 0, 0), 1), ((0, 3, 0), 1), ((0, 0, 3), 1)])
 
 
 def pt(*coords):
-    return ProjPoint.from_exact([CRat(Fraction(c)) for c in coords])
+    return ProjPoint.of([CRat(Fraction(c)) for c in coords])
 
 
 def test_points_and_lines_are_immutable():
     p = pt(2, 4, 6)
     assert p == pt(1, 2, 3) != pt(1, 2, 4)
     assert len({p, pt(1, 2, 3)}) == 1
-    line = TangentLine((CRat(0), CRat(0), CRat(1)), p, True)
+    line = TangentLine((CRat(0), CRat(0), CRat(1)), p)
     with pytest.raises(AttributeError):
         p.exact = False
     with pytest.raises(AttributeError):
@@ -58,6 +59,55 @@ def test_points_and_lines_are_immutable():
     assert p != (p.coords, True)
     with pytest.raises(AttributeError):
         del curve([((1, 0, 0), 1)]).poly
+
+
+class TestExactnessFollowsCoordinates:
+    def test_of_scales_exact_entries_to_a_first_one(self):
+        p = ProjPoint.of([CRat(0), CRat(Fraction(2, 3)), CRat(4)])
+        assert p.exact and p.coords == (CRat(0), CRat(1), CRat(6))
+        with pytest.raises(ValueError):
+            ProjPoint.of([CRat(0)] * 3)
+
+    def test_of_scales_other_entries_to_a_largest_modulus_one(self):
+        p = ProjPoint.of([1j, -2 + 0j, 0j])
+        assert not p.exact and p.coords == (0.5j, -1 + 0j, 0j)
+        assert all(type(c) is complex for c in p.coords)
+        with pytest.raises(ValueError):
+            ProjPoint.of([0j, 0j, 0j])
+
+    def test_of_makes_mixed_entries_complex(self):
+        p = ProjPoint.of([CRat(4), 2j, CRat(0)])
+        assert not p.exact and p.coords == (1 + 0j, 0.5j, 0j)
+        assert all(type(c) is complex for c in p.coords)
+        assert p.to_json() == {"exact": False,
+                               "coords": [[1.0, 0.0], [0.0, 0.5], [0.0, 0.0]]}
+
+    def test_an_exact_point_is_one_point_by_every_path(self):
+        # the meeting point of x0 = 0 and x1 = 0, built four ways
+        met, = intersection_points(X0, X1)
+        tangent = TangentLine((CRat(1), CRat(0), CRat(0)), pt(0, 1, 0))
+        paths = [ProjPoint((CRat(0), CRat(0), CRat(1))),
+                 ProjPoint.of([CRat(0), CRat(0), CRat(-7)]),
+                 met[0],
+                 _line_line_meet(tangent, X1)]
+        for p in paths:
+            assert p.exact and p == paths[0] and hash(p) == hash(paths[0])
+            assert p.to_json() == {"exact": True, "coords": [
+                [0, 1, 0, 1], [0, 1, 0, 1], [1, 1, 0, 1]]}
+        assert ProjPoint((CRat(1), CRat(0), CRat(0))) == \
+            ProjPoint.of([CRat(2), CRat(0), CRat(0)])
+        assert ProjPoint.of([CRat(1), CRat(0), CRat(0)]) != \
+            ProjPoint.of([1 + 0j, 0j, 0j])
+
+    def test_tangent_line_exactness_follows_dual(self):
+        numeric_point = ProjPoint.of([1 + 0j, 0j, 0j])
+        exact = TangentLine((CRat(0), CRat(0), CRat(1)), numeric_point)
+        assert exact.exact and exact.to_json()["exact"] is True
+        numeric = TangentLine((0j, 0j, 1 + 0j), pt(1, 0, 0))
+        assert not numeric.exact and numeric.to_json() == {
+            "dual": [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]], "exact": False,
+            "point": {"exact": True, "coords": [[1, 1, 0, 1], [0, 1, 0, 1],
+                                                [0, 1, 0, 1]]}}
 
 
 class TestPlaneCurve:
@@ -143,7 +193,7 @@ class TestIntersections:
         for q, _ in pts_moved:
             img = [sum((m[i][j] * q.coords[j] for j in range(3)),
                        CRat(0)) for i in range(3)]
-            assert any(p.same_as(ProjPoint.from_exact(img))
+            assert any(p.same_as(ProjPoint.of(img))
                        for p, _ in pts_orig)
 
 
@@ -244,6 +294,16 @@ class TestCaseEngine:
             else:
                 assert cert["window_solutions"] == []
 
+    def test_verdicts_match_golden(self):
+        # tests/golden/planeconf/engine.json holds the to_json() of every
+        # verdict, recorded before the forced-multiplicity verdicts were
+        # built in one place; distinct degrees catch a swap of components
+        want = json.loads((GOLDEN / "engine.json").read_text())
+        for degrees in ((2, 3, 5), (5, 3, 2)):
+            got = [v.to_json() for v in two_puncture_case_engine(degrees, 4)]
+            assert json.loads(json.dumps(got)) == \
+                want[",".join(map(str, degrees))]
+
     def test_fulton_bound_consistency(self):
         # the window is exactly what the Fulton inequality leaves open
         for d0 in range(1, 8):
@@ -311,7 +371,7 @@ class TestSingularCubic:
                  (1, Fraction(-81, 2), 27))]
         assert len(lines) == 2 and all(t.exact for t in lines)
         for dual, point in want:
-            line = TangentLine(tuple(CRat(c) for c in dual), pt(*point), True)
+            line = TangentLine(tuple(CRat(c) for c in dual), pt(*point))
             assert sum(t.same_line(line) and t.point.same_as(line.point)
                        for t in lines) == 1
         for t in lines:
@@ -321,7 +381,7 @@ class TestSingularCubic:
             p, l = t.point.coords, t.dual
             q = (l[1] * p[2] - l[2] * p[1], l[2] * p[0] - l[0] * p[2],
                  l[0] * p[1] - l[1] * p[0])
-            assert not ProjPoint.from_exact(q).same_as(t.point)
+            assert not ProjPoint.of(q).same_as(t.point)
             assert sum((a * b for a, b in zip(l, p)), CRat(0)).is_zero()
             fq = SINGULAR_CUBIC.eval_exact(q)
             for k in range(4):
@@ -369,40 +429,38 @@ class TestTangentLinePins:
         assert [_hexed(t.to_json()) for t in lines] == self.WANT[name]
 
     def test_point_tolerance_is_absolute(self):
-        big = ProjPoint((100.0 + 0j, 0j, 0j), False)
-        assert big.same_as(ProjPoint((1 + 0j, 0.9e-11 + 0j, 0j), False))
-        assert not big.same_as(ProjPoint((1 + 0j, 1.1e-11 + 0j, 0j), False))
-        unit = ProjPoint((1 + 0j, 0j, 0j), False)
-        assert unit.same_as(ProjPoint((1 + 0j, 0.9e-9 + 0j, 0j), False))
-        assert not unit.same_as(ProjPoint((1 + 0j, 1.1e-9 + 0j, 0j), False))
+        big = ProjPoint((100.0 + 0j, 0j, 0j))
+        assert big.same_as(ProjPoint((1 + 0j, 0.9e-11 + 0j, 0j)))
+        assert not big.same_as(ProjPoint((1 + 0j, 1.1e-11 + 0j, 0j)))
+        unit = ProjPoint((1 + 0j, 0j, 0j))
+        assert unit.same_as(ProjPoint((1 + 0j, 0.9e-9 + 0j, 0j)))
+        assert not unit.same_as(ProjPoint((1 + 0j, 1.1e-9 + 0j, 0j)))
         # mixed exact and numeric compares through complex values
-        assert pt(1, 0, 0).same_as(ProjPoint((2 + 0j, 0.9e-9j, 0j), False))
-        assert not pt(1, 0, 0).same_as(ProjPoint((2 + 0j, 1.1e-9j, 0j),
-                                                 False))
+        assert pt(1, 0, 0).same_as(ProjPoint((2 + 0j, 0.9e-9j, 0j)))
+        assert not pt(1, 0, 0).same_as(ProjPoint((2 + 0j, 1.1e-9j, 0j)))
         # exact pairs compare exactly
         assert pt(1, 2, 3).same_as(pt(2, 4, 6))
         assert not pt(1, 2, 3).same_as(
-            ProjPoint.from_exact([CRat(1), CRat(2),
-                                  CRat(3 + Fraction(1, 10 ** 30))]))
+            ProjPoint.of([CRat(1), CRat(2), CRat(3 + Fraction(1, 10 ** 30))]))
 
     def test_line_tolerance_is_scaled(self):
         anchor = pt(0, 0, 1)
 
-        def line(*dual, exact=False):
-            return TangentLine(tuple(dual), anchor, exact)
+        def line(*dual):
+            return TangentLine(tuple(dual), anchor)
 
         big = line(100.0 + 0j, 0j, 0j)
         # |minor| 9e-8 and 1.1e-7 against tol * |a| * |b| = 1e-7
         assert big.same_line(line(1 + 0j, 0.9e-9 + 0j, 0j))
         assert not big.same_line(line(1 + 0j, 1.1e-9 + 0j, 0j))
         # exact against numeric
-        ex = line(CRat(1), CRat(0), CRat(0), exact=True)
+        ex = line(CRat(1), CRat(0), CRat(0))
         assert ex.same_line(line(3 + 0j, 2.9e-9j, 0j))
         assert not ex.same_line(line(3 + 0j, 3.1e-9j, 0j))
         # exact pairs compare exactly
-        assert ex.same_line(line(CRat(5), CRat(0), CRat(0), exact=True))
+        assert ex.same_line(line(CRat(5), CRat(0), CRat(0)))
         assert not ex.same_line(line(CRat(1), CRat(Fraction(1, 10 ** 30)),
-                                     CRat(0), exact=True))
+                                     CRat(0)))
 
 
 class TestQuadricExclusion:

@@ -42,7 +42,7 @@ def _line(i):
 
 
 def _point():
-    return ProjPoint.from_exact([CRat(1), CRat(2), CRat(3)])
+    return ProjPoint.of([CRat(1), CRat(2), CRat(3)])
 
 
 def _smt():
@@ -72,8 +72,8 @@ RECORDS = {
     Configuration: (lambda: Configuration([_line(i) for i in range(3)]),
                     "curves"),
     ProjPoint: (_point, "coords"),
-    TangentLine: (lambda: TangentLine((CRat(0), CRat(0), CRat(1)), _point(),
-                                      True), "point"),
+    TangentLine: (lambda: TangentLine((CRat(0), CRat(0), CRat(1)), _point()),
+                  "point"),
     GrowthReport: (lambda: GrowthReport([8.0, 16.0], [1.0, 4.0], 0.5, 2.0,
                                         ["log-growth"]), "flags"),
     FmtReport: (lambda: FmtReport([4.0, 8.0], [1, 2], [1.5, 2.5], 0.5, -0.1,
@@ -113,8 +113,8 @@ VALUES = {
     LogChernReport: (RECORDS[LogChernReport][0],
                      lambda: LogChernReport(2, 2, 1, 1, 2, 4)),
     CyclicCover: (RECORDS[CyclicCover][0], lambda: CyclicCover(2)),
-    ProjPoint: (lambda: ProjPoint.from_exact([CRat(2), CRat(4), CRat(6)]),
-                lambda: ProjPoint.from_exact([CRat(1), CRat(2), CRat(4)])),
+    ProjPoint: (lambda: ProjPoint.of([CRat(2), CRat(4), CRat(6)]),
+                lambda: ProjPoint.of([CRat(1), CRat(2), CRat(4)])),
 }
 
 
