@@ -52,9 +52,8 @@ class Record(Frozen):
     Fields are given by position or by name.  One left out takes
     ``DEFAULTS[name]``, called first when it is callable, so that each
     record gets its own list or dict.  ``to_json`` writes each field under
-    ``JSON_NAMES.get(name, name)``: a nested record as its ``to_json()``,
-    and lists and dicts as fresh copies, so no container in the JSON is the
-    record's own.
+    ``JSON_NAMES.get(name, name)`` through :func:`_json`, so no container
+    in the JSON is the record's own.
     """
 
     __slots__ = ()
@@ -84,10 +83,14 @@ class Record(Frozen):
 
 
 def _json(value):
+    """value as JSON data: a record as its ``to_json()``, a list or tuple as
+    a fresh list, a dict as a fresh dict, and a complex as ``[re, im]``."""
     if isinstance(value, Frozen):
         return value.to_json()
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         return [_json(v) for v in value]
     if isinstance(value, dict):
         return {k: _json(v) for k, v in value.items()}
+    if isinstance(value, complex):
+        return [value.real, value.imag]
     return value

@@ -414,11 +414,6 @@ def case1_refute(subset, radii=(4.0, 8.0, 16.0, 32.0),
                              fit_linear, log_bound_factor,
                              smt_defect_on_sum_relation)
     components = _strip_common_poly_zeros(components)
-    curve = ProjCurve(components)
-    ts = [characteristic(curve, r) for r in radii]
-    factor = log_bound_factor(radii, ts)
-    _, _, rms = fit_linear([math.log(r) for r in radii], ts)
-    resid = rms / max(1.0, max(abs(t) for t in ts))
     total = components[0]
     for c in components[1:]:
         total = total + c
@@ -429,6 +424,14 @@ def case1_refute(subset, radii=(4.0, 8.0, 16.0, 32.0),
                                              n_method="circle-mean")
         except NevanlinnaError:
             smt = None
+    if smt is not None:
+        ts = list(smt.T)  # T of the same curve at the same radii
+    else:
+        curve = ProjCurve(components)
+        ts = [characteristic(curve, r) for r in radii]
+    factor = log_bound_factor(radii, ts)
+    _, _, rms = fit_linear([math.log(r) for r in radii], ts)
+    resid = rms / max(1.0, max(abs(t) for t in ts))
     refuted = factor >= factor_threshold
     reason = (f"T at r={radii[-1]:g} exceeds the log ray by x{factor:.3g}"
               if refuted else "log-bounded growth: no contradiction witnessed")

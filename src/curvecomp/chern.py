@@ -199,23 +199,19 @@ def classify_main2(ci: CIData, pic_is_Z: bool = False,
     """
     v = theorem_main_check(ci, pic_is_Z)
     a, r, b = ci.a_sum, ci.r, ci.b_sum
-    case = "none"
-    if ci.is_plane():
-        bs = sorted(ci.b)
-        if bs[0] >= 2 and bs[2] >= 3:
-            case = "c"
-        elif bs[0] == 1 and bs[1] >= 3 and bs[2] >= 4:
-            case = "c"
-    if case == "none" and pic_is_Z and a >= r + 3 and b >= 5:
+    b1, b2, b3 = sorted(ci.b)
+    # case (c)'s first branch, with no line component, is mt_applicable
+    no_line = ci.is_plane() and b1 >= 2 and b3 >= 3
+    if no_line or (ci.is_plane() and b1 == 1 and b2 >= 3 and b3 >= 4):
+        case = "c"
+    elif pic_is_Z and a >= r + 3 and b >= 5:
         case = "a"
-    if case == "none" and r == 1 and generic_NL and ci.a[0] >= 4 and b >= 5:
+    elif r == 1 and generic_NL and ci.a[0] >= 4 and b >= 5:
         case = "b"
-    if case == "c" and not ci.is_plane():
-        raise AssertionError("case c is reserved for the plane")
-    bs = sorted(ci.b)
+    else:
+        case = "none"
     return TheoremVerdict(v.condition_i_pic, v.condition_ii, v.condition_iii,
-                          case, ci.is_plane() and bs[0] >= 2 and bs[2] >= 3,
-                          v.notes)
+                          case, no_line, v.notes)
 
 
 def identity_check_main2c(b) -> bool:

@@ -31,8 +31,9 @@ import argparse
 import json
 import math
 import sys
+from itertools import zip_longest
 
-from . import __version__
+from . import __version__, _json
 
 
 # ---------------------------------------------------------------------------
@@ -61,13 +62,16 @@ def _round_floats(doc):
         return float(f"{doc:.15g}") if math.isfinite(doc) else None
     if isinstance(doc, dict):
         return {k: _round_floats(v) for k, v in doc.items()}
-    if isinstance(doc, (list, tuple)):
+    if isinstance(doc, list):
         return [_round_floats(v) for v in doc]
     return doc
 
 
 def _emit(doc, path: str):
-    text = json.dumps(_round_floats(doc), indent=2, allow_nan=False) + "\n"
+    """Write doc to path; _json writes the records and complex values in
+    it, and floats are rounded."""
+    text = json.dumps(_round_floats(_json(doc)), indent=2,
+                      allow_nan=False) + "\n"
     if path == "-":
         sys.stdout.write(text)
     else:
@@ -79,6 +83,12 @@ def _meta(args, **tols):
     return {"version": __version__,
             "seed": getattr(args, "seed", 0),
             "tol": {k: v for k, v in tols.items() if v is not None}}
+
+
+def _report(rec, args, **tols):
+    """The document of a command whose answer is one record: its fields,
+    then meta."""
+    return {**rec.to_json(), "meta": _meta(args, **tols)}
 
 
 def _ints(spec: str):
@@ -144,22 +154,21 @@ def _divisors_from(data):
 # chern group
 # ---------------------------------------------------------------------------
 
+def _ci(args):
+    from .chern import CIData
+    return CIData(_ints(args.a), tuple(_ints(args.b)))
+
+
 def _cmd_chern_invariants(args):
-    from .chern import CIData, invariants
-    ci = CIData(_ints(args.a), tuple(_ints(args.b)))
-    rep = invariants(ci)
-    out = rep.to_json()
-    out["meta"] = _meta(args)
-    return out
+    from .chern import invariants
+    return _report(invariants(_ci(args)), args)
 
 
 def _cmd_chern_classify(args):
-    from .chern import CIData, classify_main2, invariants
-    ci = CIData(_ints(args.a), tuple(_ints(args.b)))
+    from .chern import classify_main2, invariants
+    ci = _ci(args)
     v = classify_main2(ci, pic_is_Z=args.pic, generic_NL=args.generic_nl)
-    out = {"invariants": invariants(ci).to_json(), "verdict": v.to_json(),
-           "meta": _meta(args)}
-    return out
+    return {"invariants": invariants(ci), "verdict": v, "meta": _meta(args)}
 
 
 def _cmd_chern_enumerate(args):
@@ -181,7 +190,9 @@ def _cmd_chern_enumerate(args):
             with open(path, "r", encoding="utf-8") as fh:
                 have = fh.read().splitlines()
             if have != lines:
-                diff = [i for i, (a, b) in enumerate(zip(have, lines)) if a != b]
+                # a missing or an extra line differs too
+                diff = [i for i, (a, b) in enumerate(zip_longest(have, lines))
+                        if a != b]
                 raise SchemaError(
                     f"golden mismatch in {path} at lines {diff[:5]} "
                     f"(and {max(0, len(diff) - 5)} more)")
@@ -260,26 +271,22 @@ def _cmd_nev_order(args):
     from .nevanlinna import order_estimate
     curve, radii, tol = _nev_inputs(args)
     rep = order_estimate(curve, radii, tol=tol)
-    return {"values": rep.to_json(), "fit": {"slope": rep.fitted_slope,
-                                             "order": rep.fitted_order},
+    return {"values": rep, "fit": {"slope": rep.fitted_slope,
+                                   "order": rep.fitted_order},
             "meta": _meta(args, quadrature=tol)}
 
 
 def _cmd_nev_fmt(args):
     from .nevanlinna import fmt_check
     curve, div, radii, tol = _nev_inputs(args)
-    out = fmt_check(curve, div, radii, tol=tol).to_json()
-    out["meta"] = _meta(args, slack=tol)
-    return out
+    return _report(fmt_check(curve, div, radii, tol=tol), args, slack=tol)
 
 
 def _cmd_nev_smt(args):
     from .nevanlinna import smt_check
     curve, hyps, radii, tol = _nev_inputs(args)
     rep = smt_check(curve, hyps, radii, resid_tol=tol, n_method=args.method)
-    out = rep.to_json()
-    out["meta"] = _meta(args, residual=tol, method=args.method)
-    return out
+    return _report(rep, args, residual=tol, method=args.method)
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +296,7 @@ def _cmd_nev_smt(args):
 def _cmd_borel_analyze(args):
     from .borel import ExpSum, degeneracy_pipeline
     s = ExpSum.from_json(_read_json(args.input))
-    out = degeneracy_pipeline(s).to_json()
-    out["meta"] = _meta(args)
-    return out
+    return _report(degeneracy_pipeline(s), args)
 
 
 def _cmd_borel_refute(args):
@@ -299,9 +304,7 @@ def _cmd_borel_refute(args):
     s = ExpSum.from_json(_read_json(args.input))
     radii = _floats(args.radii) if args.radii else [4.0, 8.0, 16.0, 32.0]
     rep = case1_refute(s, radii=radii, factor_threshold=args.factor)
-    out = rep.to_json()
-    out["meta"] = _meta(args, factor_threshold=args.factor)
-    return out
+    return _report(rep, args, factor_threshold=args.factor)
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +317,9 @@ def _cmd_cover_pushdown(args):
     cover = CyclicCover(args.b)
     nf = norm_form(form, cover) if args.norm else form
     pushed = push_down(nf, cover)
-    out = {"pushed": pushed.to_json(), "meta": _meta(args)}
+    out = {"pushed": pushed, "meta": _meta(args)}
     if args.norm:
-        out["norm_form"] = nf.to_json()
+        out["norm_form"] = nf
     return out
 
 
@@ -326,8 +329,7 @@ def _cmd_cover_check(args):
     g1 = _load_exppoly(args.g1)
     g2 = _load_exppoly(args.g2)
     ok, resid = annihilation_check(form, g1, g2)
-    return {"annihilates": ok, "residual": resid.to_json(),
-            "meta": _meta(args)}
+    return {"annihilates": ok, "residual": resid, "meta": _meta(args)}
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +345,7 @@ def _cmd_plane_intersect(args):
     c1 = PlaneCurve.from_json(data["curves"][0])
     c2 = PlaneCurve.from_json(data["curves"][1])
     pts = intersection_points(c1, c2, seed=args.seed)
-    return {"points": [{"point": p.to_json(), "multiplicity": m}
-                       for p, m in pts],
+    return {"points": [{"point": p, "multiplicity": m} for p, m in pts],
             "bezout_total": sum(m for _, m in pts),
             "meta": _meta(args)}
 
@@ -352,28 +353,20 @@ def _cmd_plane_intersect(args):
 def _cmd_plane_nc(args):
     from .planeconf import Configuration, normal_crossings
     conf = Configuration.from_json(_read_json(args.config))
-    rep = normal_crossings(conf, seed=args.seed)
-    out = rep.to_json()
-    out["meta"] = _meta(args)
-    return out
+    return _report(normal_crossings(conf, seed=args.seed), args)
 
 
 def _cmd_plane_engine(args):
     from .planeconf import surviving_cases, two_puncture_case_engine
     verdicts = two_puncture_case_engine(_ints(args.degrees), args.d0max)
     surv = surviving_cases(verdicts)
-    return {"verdicts": [v.to_json() for v in verdicts],
-            "survivors": [v.to_json() for v in surv],
-            "meta": _meta(args)}
+    return {"verdicts": verdicts, "survivors": surv, "meta": _meta(args)}
 
 
 def _cmd_plane_exclusion(args):
     from .planeconf import Configuration, quadric_line_exclusion
     conf = Configuration.from_json(_read_json(args.config))
-    rep = quadric_line_exclusion(conf)
-    out = rep.to_json()
-    out["meta"] = _meta(args)
-    return out
+    return _report(quadric_line_exclusion(conf), args)
 
 
 # ---------------------------------------------------------------------------
@@ -382,20 +375,18 @@ def _cmd_plane_exclusion(args):
 
 def _cmd_expfun_eval(args):
     f = _load_exppoly(args.f)
-    z = _parse_complex(args.point)
-    v = f.evaluate(z)
-    return {"value": [v.real, v.imag], "meta": _meta(args)}
+    return {"value": f.evaluate(_parse_complex(args.point)),
+            "meta": _meta(args)}
 
 
 def _cmd_expfun_diff(args):
     f = _load_exppoly(args.f)
-    return {"derivative": f.differentiate().to_json(), "meta": _meta(args)}
+    return {"derivative": f.differentiate(), "meta": _meta(args)}
 
 
 def _cmd_expfun_iszero(args):
     f = _load_exppoly(args.f)
-    return {"is_zero": f.is_zero(), "canonical": f.to_json(),
-            "meta": _meta(args)}
+    return {"is_zero": f.is_zero(), "canonical": f, "meta": _meta(args)}
 
 
 def _cmd_expfun_combine(args):
@@ -415,7 +406,7 @@ def _cmd_expfun_combine(args):
         except (ValueError, ZeroDivisionError):
             raise SchemaError(f"--scalar must be a rational number, got "
                               f"{args.scalar!r}") from None
-    return {"result": combine(args.op, f, g).to_json(), "meta": _meta(args)}
+    return {"result": combine(args.op, f, g), "meta": _meta(args)}
 
 
 # ---------------------------------------------------------------------------

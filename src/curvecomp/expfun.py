@@ -265,7 +265,7 @@ class ExpPoly(Frozen):
 
 def _horner_data(p: Poly):
     """(lead, rest): p(z) is lead folded by out = out * z + c over rest."""
-    cs = p._numeric()
+    cs = [c.to_complex() for c in p.coeffs]
     if not cs:
         return 0j, ()
     return cs[-1], tuple(reversed(cs[:-1]))

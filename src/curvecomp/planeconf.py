@@ -44,7 +44,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 
-from . import Frozen, Record, Value
+from . import Frozen, Record, Value, _json
 from .polys import (ROOT_DPS, MPoly, Poly, biv_gcd, exact_roots, mp_roots,
                     poly_gcd, resultant_bivariate, squarefree_decomposition)
 from .scalars import CRat
@@ -220,7 +220,7 @@ class ProjPoint(Value):
         return _proportional(self.coords, other.coords)
 
     def to_json(self):
-        return {"exact": self.exact, "coords": _triple_json(self.coords)}
+        return {"exact": self.exact, "coords": _json(self.coords)}
 
     def __repr__(self):
         form = str if self.exact else "{:.6g}".format
@@ -230,11 +230,6 @@ class ProjPoint(Value):
 def _exact(values) -> bool:
     """Are all values exact scalars, so that they compute exactly?"""
     return all(isinstance(c, CRat) for c in values)
-
-
-def _triple_json(cs):
-    return ([c.to_json() for c in cs] if _exact(cs)
-            else [[c.real, c.imag] for c in cs])
 
 
 def _cross(a, b):
@@ -582,7 +577,7 @@ class TangentLine(Frozen):
         return _proportional(self.dual, other.dual, scaled=True)
 
     def to_json(self):
-        return {"dual": _triple_json(self.dual), "exact": self.exact,
+        return {"dual": _json(self.dual), "exact": self.exact,
                 "point": self.point.to_json()}
 
 

@@ -13,9 +13,9 @@ Evaluation is one routine per class, generic over the ring of the point:
 ``Poly.eval`` (Horner) and ``MPoly.eval`` (a sum over the terms) take a
 ``lift`` that maps an exact coefficient into that ring, so the same code
 evaluates at exact scalars, at complex or mpmath numbers, and substitutes
-MPoly, Poly or ExpPoly values.  A Poly caches its complex coefficients for
-the compiled ExpPoly kernel, which evaluates them with the float operations
-of ``Poly.eval(z, complex)``.
+MPoly, Poly or ExpPoly values.  The compiled ExpPoly kernel converts a
+Poly's coefficients to complex once, when it is built, and evaluates them
+with the float operations of ``Poly.eval(z, complex)``.
 
 The heavier tools live at the bottom: univariate gcd and squarefree
 decomposition, one Gaussian elimination behind ``det_field`` and
@@ -52,14 +52,13 @@ class Poly(Frozen):
     the product in x, and a coefficient is applied by scale().
     """
 
-    __slots__ = ("coeffs", "_num")
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
         cs = [c if isinstance(c, _COEFF_TYPES) else as_crat(c) for c in coeffs]
         while cs and cs[-1].is_zero():
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "_num", None)
 
     # -- basics ---------------------------------------------------------
     @property
@@ -208,12 +207,6 @@ class Poly(Frozen):
         for c in reversed(cs[:-1]):
             out = out * x + c
         return out
-
-    def _numeric(self):
-        if self._num is None:
-            object.__setattr__(self, "_num",
-                               tuple(c.to_complex() for c in self.coeffs))
-        return self._num
 
     def to_json(self):
         return [c.to_json() for c in self.coeffs]
@@ -446,16 +439,10 @@ class MPoly(Frozen):
                     t[e] = s
             else:
                 t[e] = c
-        out = MPoly.__new__(MPoly)
-        object.__setattr__(out, "nvars", self.nvars)
-        object.__setattr__(out, "terms", t)
-        return out
+        return _mpoly(self.nvars, t)
 
     def __neg__(self):
-        out = MPoly.__new__(MPoly)
-        object.__setattr__(out, "nvars", self.nvars)
-        object.__setattr__(out, "terms", {e: -c for e, c in self.terms.items()})
-        return out
+        return _mpoly(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -476,10 +463,7 @@ class MPoly(Frozen):
                     t.pop(e, None)
                 else:
                     t[e] = p
-        out = MPoly.__new__(MPoly)
-        object.__setattr__(out, "nvars", self.nvars)
-        object.__setattr__(out, "terms", t)
-        return out
+        return _mpoly(self.nvars, t)
 
     __rmul__ = __mul__
 
@@ -488,10 +472,7 @@ class MPoly(Frozen):
             s = CRat(s)
         if s.is_zero():
             return MPoly(self.nvars)
-        out = MPoly.__new__(MPoly)
-        object.__setattr__(out, "nvars", self.nvars)
-        object.__setattr__(out, "terms", {e: c * s for e, c in self.terms.items()})
-        return out
+        return _mpoly(self.nvars, {e: c * s for e, c in self.terms.items()})
 
     def __pow__(self, k: int):
         return power(self, k, MPoly.monomial(self.nvars, (0,) * self.nvars, 1))
@@ -584,6 +565,14 @@ class MPoly(Frozen):
             return "MPoly(0)"
         bits = [f"({c})*x^{list(e)}" for e, c in self.iter_sorted()]
         return "MPoly[" + " + ".join(bits) + "]"
+
+
+def _mpoly(nvars: int, terms: dict) -> MPoly:
+    """The MPoly of terms already merged (no zero coefficient), as is."""
+    out = MPoly.__new__(MPoly)
+    object.__setattr__(out, "nvars", nvars)
+    object.__setattr__(out, "terms", terms)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -179,6 +179,25 @@ class TestCase1:
         assert rep.logfit_residual > 0.05
         assert rep.smt is not None and rep.smt.relative_residual < 0.05
 
+    def test_T_is_computed_once_per_radius(self, monkeypatch):
+        e1, e2 = exp_of(ETA), exp_of(XI2)
+        summands = [e1, e2, -(e1 + e2)]
+        curve = nev.ProjCurve(summands)
+        direct = [nev.characteristic(curve, r) for r in self.WITNESS_RADII]
+        calls = []
+        plain = nev.characteristic
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return plain(*args, **kwargs)
+
+        monkeypatch.setattr(nev, "characteristic", counted)
+        rep = case1_refute(summands, radii=self.WITNESS_RADII)
+        assert rep.smt is not None
+        assert calls == list(self.WITNESS_RADII)
+        assert [t.hex() for t in rep.T] == [t.hex() for t in direct]
+        assert rep.T == rep.smt.T
+
     def test_only_a_nevanlinna_error_drops_the_smt_data(self, monkeypatch):
         e1, e2 = exp_of(ETA), exp_of(XI2)
         summands = [e1, e2, -(e1 + e2)]

@@ -92,6 +92,20 @@ class TestChernCli:
         code, doc = run_json(tmp_path, "m.json", argv)
         assert code == 1 and "golden mismatch" in doc["error"]["message"]
 
+    def test_golden_mismatch_names_missing_lines(self, tmp_path):
+        gold = tmp_path / "golden"
+        argv = ["chern", "enumerate", "--a", "1", "--bmax", "3",
+                "--golden", str(gold)]
+        assert run_json(tmp_path, "w.json", argv + ["--update"])[0] == 0
+        path = gold / "chern_enumerate_a1_bmax3.csv"
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:-2]) + "\n")
+        code, doc = run_json(tmp_path, "m.json", argv)
+        n = len(lines)
+        assert code == 1
+        assert f"at lines [{n - 2}, {n - 1}] (and 0 more)" in \
+            doc["error"]["message"]
+
 
 class TestNevCli:
     def test_order_documented_example(self, tmp_path, curve_file):

@@ -304,6 +304,13 @@ class TestCaseEngine:
             assert json.loads(json.dumps(got)) == \
                 want[",".join(map(str, degrees))]
 
+    def test_verdicts_round_trip_through_json(self):
+        verdicts = two_puncture_case_engine((2, 2, 3), 3)
+        assert surviving_cases(verdicts)
+        for v in verdicts:
+            js = v.to_json()
+            assert json.loads(json.dumps(js)) == js
+
     def test_fulton_bound_consistency(self):
         # the window is exactly what the Fulton inequality leaves open
         for d0 in range(1, 8):

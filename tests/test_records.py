@@ -12,12 +12,13 @@ writes its own ``__setattr__``, fails here.
 
 import importlib
 import inspect
+import json
 
 import pytest
 
-from curvecomp import Frozen, Record, Value
+from curvecomp import Frozen, Record, Value, _json
 from curvecomp.borel import (AnalysisOutcome, Case1Report, ExpSum, ExpTerm,
-                             Factorization)
+                             Factorization, factor_homogeneous)
 from curvecomp.chern import CIData, LogChernReport, TheoremVerdict, invariants
 from curvecomp.covering import CyclicCover, SymForm
 from curvecomp.expfun import ExpPoly, ExpTermRec
@@ -189,6 +190,40 @@ def test_report_json_shares_no_container(cls):
     js = x.to_json()
     assert not own & _containers(js, set())
     assert js == x.to_json()
+
+
+@pytest.mark.parametrize("cls", REPORTS, ids=lambda c: c.__name__)
+def test_report_json_round_trips(cls):
+    js = RECORDS[cls][0]().to_json()
+    assert json.loads(json.dumps(js)) == js
+
+
+def test_factorization_json_exact_and_numeric():
+    exact = factor_homogeneous([CRat(2), CRat(-3), CRat(1)], 2)
+    assert exact.exact
+    assert json.loads(json.dumps(exact.to_json())) == {
+        "lead": [1, 1, 0, 1], "exact": True,
+        "factors": [[[1, 1, 0, 1], [1, 1, 0, 1], True],
+                    [[1, 1, 0, 1], [2, 1, 0, 1], True]]}
+    # x^2 - 2: two numeric roots +-sqrt(2), each written as [re, im]
+    numeric = factor_homogeneous([CRat(-2), CRat(0), CRat(1)], 2)
+    assert not numeric.exact
+    js = json.loads(json.dumps(numeric.to_json()))
+    assert js == numeric.to_json()
+    roots = sorted(gam for _, gam, ex in js["factors"] if not ex)
+    assert len(roots) == 2
+    for (re, im), want in zip(roots, (-2 ** 0.5, 2 ** 0.5)):
+        assert abs(re - want) < 1e-12 and abs(im) < 1e-12
+
+
+def test_walker_writes_tuples_and_complex_values():
+    assert _json((1, 2)) == [1, 2]
+    assert _json([(1, (2, 3)), {"k": ((4,),)}]) == [[1, [2, 3]],
+                                                   {"k": [[4]]}]
+    assert _json(1.5 - 2j) == [1.5, -2.0]
+    assert _json((0j, CRat(1, 2))) == [[0.0, 0.0], CRat(1, 2).to_json()]
+    assert _json({"z": [3j]}) == {"z": [[0.0, 3.0]]}
+    assert _json(True) is True and _json(None) is None and _json(2) == 2
 
 
 def test_record_rejects_missing_and_unknown_fields():
