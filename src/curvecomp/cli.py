@@ -181,22 +181,26 @@ def _cmd_chern_enumerate(args):
         name = f"chern_enumerate_a{'-'.join(args.a.split(','))}_bmax{args.bmax}.csv"
         path = os.path.join(args.golden, name)
         lines = golden_csv_lines(rows)
-        if args.update:
-            os.makedirs(args.golden, exist_ok=True)
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write("\n".join(lines) + "\n")
-            out["golden"] = {"path": path, "mode": "written"}
-        else:
-            with open(path, "r", encoding="utf-8") as fh:
-                have = fh.read().splitlines()
-            if have != lines:
-                # a missing or an extra line differs too
-                diff = [i for i, (a, b) in enumerate(zip_longest(have, lines))
-                        if a != b]
-                raise SchemaError(
-                    f"golden mismatch in {path} at lines {diff[:5]} "
-                    f"(and {max(0, len(diff) - 5)} more)")
-            out["golden"] = {"path": path, "mode": "match"}
+        try:
+            if args.update:
+                os.makedirs(args.golden, exist_ok=True)
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write("\n".join(lines) + "\n")
+            else:
+                with open(path, "r", encoding="utf-8") as fh:
+                    have = fh.read().splitlines()
+        except OSError as exc:
+            verb = "write" if args.update else "read"
+            raise SchemaError(f"cannot {verb} {path}: {exc}") from exc
+        if not args.update and have != lines:
+            # a missing or an extra line differs too
+            diff = [i for i, (a, b) in enumerate(zip_longest(have, lines))
+                    if a != b]
+            raise SchemaError(
+                f"golden mismatch in {path} at lines {diff[:5]} "
+                f"(and {max(0, len(diff) - 5)} more)")
+        out["golden"] = {"path": path,
+                         "mode": "written" if args.update else "match"}
     return out
 
 

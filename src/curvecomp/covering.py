@@ -22,7 +22,7 @@ import math
 from fractions import Fraction
 
 from . import Frozen, Value
-from .polys import MPoly, RatFunc, as_crat
+from .polys import MPoly, Poly, RatFunc, as_crat
 from .scalars import CRat, CycField, CycNum
 
 
@@ -113,14 +113,9 @@ class SymForm(Frozen):
         if self.basis != other.basis:
             raise ValueError("cannot multiply forms in different bases")
         M = self.M + other.M
-        out = [RatFunc.zero() for _ in range(M + 1)]
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return SymForm(M, self.basis, out, self.var_names)
+        cs = (Poly(self.coeffs) * Poly(other.coeffs)).coeffs
+        cs += (RatFunc.zero(),) * (M + 1 - len(cs))
+        return SymForm(M, self.basis, cs, self.var_names)
 
     def map_coeffs(self, fn) -> "SymForm":
         return SymForm(self.M, self.basis, [fn(c) for c in self.coeffs],

@@ -26,14 +26,15 @@ Three bivariate systems share one exact-first solver, ``_common_zeros``: two
 curves meeting, a curve and its partial derivatives (its singular points),
 and the rank-one minors of a total tangent line.  It eliminates the second
 variable by a resultant and takes the eliminant's squarefree factors and
-their roots, exact ones (small-denominator Gaussian rationals verified by
+their ``exact_roots``, exact ones (a linear factor's root at any
+denominator, else small-denominator Gaussian rationals verified by
 substitution) before numeric ones.  Over an exact root the fibre is the
 squarefree part of the gcd of the two specialised polynomials, so a
-repeated fibre root is found once, and a linear fibre gives its root
-exactly; over a numeric root the fibre roots of the two polynomials that
-agree to 1e-12 are matched.  A point or line is exact when every coordinate
-is a CRat, as the one predicate ``_exact`` reads off the data.  A numeric
-tangent line is accepted when every minor is below the absolute bound
+repeated fibre root is found once, and it goes through ``exact_roots`` too;
+over a numeric root the fibre roots of the two polynomials that agree to
+1e-12 are matched.  A point or line is exact when every coordinate is a
+CRat, as the one predicate ``_exact`` reads off the data.  A numeric tangent
+line is accepted when every minor is below the absolute bound
 ``1e-10 (1 + |lam| + |mu|)^8`` in its chart coordinates.
 """
 
@@ -95,9 +96,6 @@ class PlaneCurve(Frozen):
         a, = _affine_chart([self.poly], seed=17)
         g = biv_gcd(biv_gcd(a, a.partial(0)), a.partial(1))
         return g.total_degree() <= 0
-
-    def eval_exact(self, point):
-        return self.poly.eval(point)
 
     def is_smooth(self) -> bool:
         """No projective point where the curve and its gradient all vanish."""
@@ -353,10 +351,10 @@ def _common_zeros(f: MPoly, g: MPoly, eliminant: Poly):
     variable.  For each of its distinct roots u, squarefree factor by factor
     and exact roots before numeric ones, yields (u, vs, mult): mult is the
     multiplicity of u in the eliminant and vs lists the distinct v with
-    f(u, v) = g(u, v) = 0.  An exact u (CRat) takes vs from the squarefree
-    part of gcd(f(u, .), g(u, .)): the exact root of a linear part, else its
-    exact_roots (CRat roots, then mpmath ones).  A numeric u (mpmath) takes
-    vs from _common_v_numeric, as complex numbers.
+    f(u, v) = g(u, v) = 0.  An exact u (CRat) takes vs as the exact_roots
+    of the squarefree part of gcd(f(u, .), g(u, .)), CRat roots then mpmath
+    ones, so a linear part gives its root exactly.  A numeric u (mpmath)
+    takes vs from _common_v_numeric, as complex numbers.
     """
     for factor, mult in squarefree_decomposition(eliminant):
         exact, numeric = exact_roots(factor)
@@ -365,14 +363,8 @@ def _common_zeros(f: MPoly, g: MPoly, eliminant: Poly):
                              g.substitute_value(0, u).to_poly())
             if fibre.degree > 1:
                 fibre = fibre.exact_div(poly_gcd(fibre, fibre.derivative()))
-            if fibre.degree < 1:
-                vs = []
-            elif fibre.degree == 1:
-                vs = [-fibre.coeffs[0] / fibre.coeffs[1]]
-            else:
-                ex, nu = exact_roots(fibre)
-                vs = ex + nu
-            yield u, vs, mult
+            ex, nu = exact_roots(fibre)
+            yield u, ex + nu, mult
         for u in numeric:
             yield u, _common_v_numeric(f, g, u), mult
 
@@ -788,15 +780,11 @@ def _line_line_meet(tl: TangentLine, line_curve: PlaneCurve):
 def _check_quadric_condition(quadric: PlaneCurve, tline: TangentLine,
                              other_point: ProjPoint):
     """Violation record if the quadric meets the line exactly at the two
-    contact points (which must be distinct)."""
+    contact points (which must be distinct), as _vanishes tests each."""
     p, q = tline.point, other_point
     if p.same_as(q):
         return None
-    # both points are tested numerically unless they and the line are exact
-    exact = p.exact and q.exact and tline.exact
-    tests = [x.coords if exact else [complex(c) for c in x.coords]
-             for x in (p, q)]
-    if all(_vanishes(quadric.poly, coords, 1e-10) for coords in tests):
+    if all(_vanishes(quadric.poly, x.coords, 1e-10) for x in (p, q)):
         return {"line": tline.to_json(), "P": p.to_json(), "Q": q.to_json(),
-                "exact": exact}
+                "exact": p.exact and q.exact}
     return None

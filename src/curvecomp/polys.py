@@ -3,7 +3,8 @@
 ``Poly`` is a univariate polynomial with ascending coefficient tuple; the
 zero polynomial is the empty tuple.  ``MPoly`` is a sparse multivariate
 polynomial (monomial-exponent dict).  Both are generic over the scalars in
-:mod:`curvecomp.scalars` and never ask which one they hold.  A scalar must
+:mod:`curvecomp.scalars` and never ask which one they hold; a ``Poly`` may
+also hold ``Poly`` (K[y][x]) or ``RatFunc`` coefficients.  A scalar must
 provide ``+ - *`` and unary ``-`` (also with ``int`` and ``Fraction``),
 ``inverse()``, ``is_zero()``, ``zero()`` and ``one()`` of its own field,
 ``to_complex()``, ``==``, ``hash`` and ``sort_key()``.  Plain ``int`` and
@@ -48,8 +49,8 @@ def as_crat(x) -> CRat:
 class Poly(Frozen):
     """Univariate polynomial, ascending coefficients, trimmed.
 
-    The coefficients may be Polys in y themselves (K[y][x]); ``*`` is then
-    the product in x, and a coefficient is applied by scale().
+    The coefficients are scalars, Polys in y (K[y][x]) or RatFuncs.  Over
+    Polys ``*`` is the product in x, and a coefficient is applied by scale().
     """
 
     __slots__ = ("coeffs",)
@@ -126,8 +127,9 @@ class Poly(Frozen):
             if a.is_zero():
                 continue
             for j, b in enumerate(other.coeffs):
-                p = a * b
-                out[i + j] = p if out[i + j] is None else out[i + j] + p
+                if not b.is_zero():
+                    p = a * b
+                    out[i + j] = p if out[i + j] is None else out[i + j] + p
         zero = self.coeffs[0].zero()
         return Poly([zero if c is None else c for c in out])
 
@@ -229,9 +231,6 @@ class Poly(Frozen):
             else:
                 parts.append(f"({c})*x^{k}")
         return "Poly[" + " + ".join(parts) + "]"
-
-
-_COEFF_TYPES = SCALAR_TYPES + (Poly,)
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -740,6 +739,9 @@ class RatFunc(Frozen):
         return f"RatFunc({self.num!r} / {self.den!r})"
 
 
+_COEFF_TYPES = SCALAR_TYPES + (Poly, RatFunc)
+
+
 # ---------------------------------------------------------------------------
 # resultant of bivariate polynomials via evaluation / interpolation
 # ---------------------------------------------------------------------------
@@ -831,13 +833,15 @@ def snap_to_crat(z) -> CRat:
 def exact_roots(p: Poly):
     """Split roots of p into exact CRat roots and residual numeric ones.
 
-    Returns (exact: list[CRat], numeric: list[mpmath.mpc]); exact roots are
-    verified by substitution and deflated before the numeric pass.
+    Returns (exact: list[CRat], numeric: list of mpmath mpc or mpf).  A
+    linear factor left gives its root -c0/c1 exactly, at any denominator;
+    other exact roots are snapped to SNAP_DEN, verified by substitution
+    and deflated before the numeric pass.
     """
     exact = []
     q = p
     progress = True
-    while progress and q.degree >= 1:
+    while progress and q.degree >= 2:
         progress = False
         for z in poly_roots_numeric(q):
             cand = snap_to_crat(z)
@@ -846,5 +850,6 @@ def exact_roots(p: Poly):
                 q = q.exact_div(Poly([-cand, CRat(1)]))
                 progress = True
                 break
-    numeric = poly_roots_numeric(q) if q.degree >= 1 else []
-    return exact, numeric
+    if q.degree == 1:
+        exact.append(-q.coeffs[0] * q.coeffs[1].inverse())
+    return exact, poly_roots_numeric(q) if q.degree >= 2 else []

@@ -106,6 +106,20 @@ class TestChernCli:
         assert f"at lines [{n - 2}, {n - 1}] (and 0 more)" in \
             doc["error"]["message"]
 
+    @pytest.mark.parametrize("update", [False, True])
+    def test_golden_table_io_error_is_a_schema_error(self, tmp_path, update):
+        # no table to read in a missing directory; none to write under a file
+        gold = tmp_path / "golden"
+        if update:
+            gold.write_text("")
+        code, doc = run_json(tmp_path, "o.json", [
+            "chern", "enumerate", "--a", "1", "--bmax", "3",
+            "--golden", str(gold)] + ["--update"] * update)
+        path = gold / "chern_enumerate_a1_bmax3.csv"
+        verb = "write" if update else "read"
+        assert code == 1 and doc["error"]["type"] == "SchemaError"
+        assert doc["error"]["message"].startswith(f"cannot {verb} {path}: ")
+
 
 class TestNevCli:
     def test_order_documented_example(self, tmp_path, curve_file):

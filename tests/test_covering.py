@@ -10,7 +10,7 @@ from curvecomp.covering import (CoveringError, CyclicCover,
                                 is_deck_invariant, norm_form,
                                 pull_back_cyclic, push_down)
 from curvecomp.expfun import ExpPoly
-from curvecomp.polys import MPoly, RatFunc
+from curvecomp.polys import MPoly, Poly, RatFunc
 from curvecomp.scalars import CRat
 
 from conftest import XI, cr, exp_of, poly
@@ -19,6 +19,10 @@ Z1 = MPoly.monomial(2, (1, 0))
 Z2 = MPoly.monomial(2, (0, 1))
 B2 = CyclicCover(2)
 B3 = CyclicCover(3)
+R0 = RatFunc.zero()
+R1 = RatFunc(Z1)
+R2 = RatFunc(Z2, MPoly(2, [((1, 0), CRat(1)), ((0, 0), CRat(1))]))
+R3 = RatFunc.const(cr(1, 2))
 
 
 def test_cyclic_cover_is_an_immutable_value():
@@ -105,6 +109,42 @@ class TestNormForm:
                                    CRat(rng.randint(1, 4)))
             nf = norm_form(SymForm.monomial(m, i, coeff), cover)
             assert is_deck_invariant(nf, cover)
+
+
+def _convolve(a, b):
+    """The coefficients of the product of the polynomials with ascending
+    coefficients a and b, one sum of products at a time."""
+    out = [R0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+def _padded(p, n):
+    return list(p.coeffs) + [R0] * (n - len(p.coeffs))
+
+
+class TestPolyOverRatFunc:
+    @pytest.mark.parametrize("a, b", [
+        ([R1, R2], [R3, R1, R2]),
+        ([R0, R1, R0, R2], [R3]),          # zeros on the left
+        ([R2, R3], [R1, R0, R0, R2]),      # zeros on the right
+        ([R0, R2, R0], [R0, R0, R1, R0]),  # zeros on both, trailing ones too
+        ([R0, R0], [R1, R2]),              # a zero factor
+    ])
+    def test_product_is_the_convolution(self, a, b):
+        want = _convolve(a, b)
+        assert _padded(Poly(a) * Poly(b), len(want)) == want
+
+    def test_cyclotomic_cover_form(self):
+        f = SymForm(2, "plain", [R2, R0, RatFunc(Z1 * Z2)])
+        g = deck_pullback(f, 1, B3)
+        assert not all(isinstance(v, CRat) for c in g.coeffs
+                       for v in c.num.terms.values())
+        want = _convolve(f.coeffs, g.coeffs)
+        assert _padded(Poly(f.coeffs) * Poly(g.coeffs), 5) == want
+        assert list((f * g).coeffs) == want
 
 
 class TestLogBasis:

@@ -9,7 +9,8 @@ import pytest
 
 from curvecomp.planeconf import (Configuration, NonCoprimeError, PlaneCurve,
                                  PlaneConfError, ProjPoint, TangentLine,
-                                 UnsupportedDegreeError, _line_line_meet,
+                                 UnsupportedDegreeError,
+                                 _check_quadric_condition, _line_line_meet,
                                  eq_star, fulton_bound,
                                  intersection_points, normal_crossings,
                                  quadric_line_exclusion, surviving_cases,
@@ -150,6 +151,18 @@ class TestIntersections:
         pts = intersection_points(CONIC_TANGENT, X1)
         assert len(pts) == 1 and pts[0][1] == 2
         assert pts[0][0].same_as(pt(0, 0, 1))
+
+    def test_tangency_with_large_denominators_is_exact(self):
+        # the tangent a x + b y - z of x^2 + y^2 - z^2 at the rational point
+        # (a, b, 1), a = (1 - t^2)/(1 + t^2), b = 2t/(1 + t^2): denominators
+        # near 10^24, far past any snapping bound
+        t = Fraction(1, 10 ** 12 + 39)
+        a, b = (1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)
+        circle = curve([((2, 0, 0), 1), ((0, 2, 0), 1), ((0, 0, 2), -1)])
+        tangent = curve([((1, 0, 0), a), ((0, 1, 0), b), ((0, 0, 1), -1)])
+        (point, mult), = intersection_points(circle, tangent)
+        assert mult == 2 and point.exact
+        assert point == pt(a, b, 1)
 
     def test_shared_component_rejected(self):
         with pytest.raises(NonCoprimeError):
@@ -390,10 +403,10 @@ class TestSingularCubic:
                  l[0] * p[1] - l[1] * p[0])
             assert not ProjPoint.of(q).same_as(t.point)
             assert sum((a * b for a, b in zip(l, p)), CRat(0)).is_zero()
-            fq = SINGULAR_CUBIC.eval_exact(q)
+            fq = SINGULAR_CUBIC.poly.eval(q)
             for k in range(4):
                 at = [a + CRat(k) * b for a, b in zip(p, q)]
-                assert SINGULAR_CUBIC.eval_exact(at) == fq * CRat(k ** 3)
+                assert SINGULAR_CUBIC.poly.eval(at) == fq * CRat(k ** 3)
 
     def test_quadric_exclusion_passes(self):
         circle = curve([((2, 0, 0), 1), ((0, 2, 0), 1), ((0, 0, 2), -1)])
@@ -471,6 +484,18 @@ class TestTangentLinePins:
 
 
 class TestQuadricExclusion:
+    def test_each_contact_point_is_tested_as_it_is(self):
+        # with Q numeric, an exact P is still tested exactly: (1 : 1e-12 : 1)
+        # is off x^2 + y^2 - z^2 by 1e-24, below the numeric tolerance
+        circle = curve([((2, 0, 0), 1), ((0, 2, 0), 1), ((0, 0, 2), -1)])
+        q = ProjPoint.of([-1 + 0j, 0j, 1 + 0j])
+        dual = (CRat(0), CRat(1), CRat(0))
+        near = TangentLine(dual, pt(1, Fraction(1, 10 ** 12), 1))
+        assert _check_quadric_condition(circle, near, q) is None
+        on = TangentLine(dual, pt(1, 0, 1))
+        v = _check_quadric_condition(circle, on, q)
+        assert v["exact"] is False and v["P"]["exact"] is True
+
     def test_flagged_configuration(self):
         rep = quadric_line_exclusion(Configuration([C1, C2Q, C3]))
         assert not rep.vacuous

@@ -98,6 +98,14 @@ class TestPoly:
         assert sorted(ex, key=lambda c: c.re) == [b, cr(Fraction(-3, 2))]
         assert not nu
 
+    def test_linear_root_is_exact_at_any_denominator(self):
+        a = cr(Fraction(7, 10 ** 12 + 39))
+        assert exact_roots(poly(-a, 1)) == ([a], [])
+        # a linear remainder left by deflation too
+        b = cr(Fraction(-5, 10 ** 30 + 7), Fraction(1, 3))
+        ex, nu = exact_roots(poly(-b, 1) * poly(-2, 1))
+        assert ex == [CRat(2), b] and nu == []
+
     def test_compose(self):
         p = poly(1, 0, 1)      # x^2 + 1
         q = poly(0, 2)         # 2x
