@@ -97,9 +97,6 @@ class SymForm(Frozen):
         cs[i] = _as_ratfunc(coeff)
         return cls(M, basis, cs, var_names)
 
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
-
     def __eq__(self, other):
         if not isinstance(other, SymForm):
             return NotImplemented

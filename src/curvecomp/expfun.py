@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from fractions import Fraction
 from itertools import repeat
 
@@ -40,6 +41,9 @@ from .scalars import CRat, power
 
 class EvalOverflowError(ArithmeticError):
     """A term's exponent exceeds the floating-point range at the point."""
+
+
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 class ExpTermRec(Value):
@@ -215,14 +219,18 @@ class ExpPoly(Frozen):
         return v, s
 
     def evaluate(self, z: complex) -> complex:
-        """Plain complex value; raises EvalOverflowError out of float range."""
+        """Plain complex value; raises EvalOverflowError when its modulus
+        is past the largest float."""
         v, s = self.eval_scaled(z)
         if v == 0:
             return 0j
         mag = s + math.log(abs(v))
-        if mag > 700.0:
+        if mag > _LOG_MAX:
             raise EvalOverflowError(
                 f"|value| ~ exp({mag:.3g}) exceeds the floating range at {z}")
+        while s > _LOG_MAX:  # e^s alone overflows, |v| e^s does not
+            h = min(s / 2, _LOG_MAX)
+            v, s = v * math.exp(h), s - h
         return v * math.exp(s)
 
     # -- serialization ---------------------------------------------------------

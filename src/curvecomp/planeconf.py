@@ -1,10 +1,12 @@
 """Plane-curve configurations: exact intersections and genericity checks.
 
-Intersection points and multiplicities come from resultant elimination after
-a deterministic (seeded) linear change of coordinates chosen so that nothing
-hides on the line at infinity, the elimination direction is regular, and
-distinct points have distinct abscissae; multiplicities are then exact root
-multiplicities of the eliminant, and the Bezout total is the eliminant
+Intersection points and multiplicities come from the eliminant Res_v after
+a deterministic (seeded) linear change of coordinates.  Nonzero x1^d
+coefficients of both forms make the direction regular; then Res_v == 0
+exactly when the curves share a component (NonCoprimeError), and deg Res_v
+= d1 d2 exactly when nothing lies on the line at infinity.  A chart must
+also give distinct points distinct abscissae.  Multiplicities are exact
+root multiplicities of the eliminant, and the Bezout total is the eliminant
 degree -- an exact integer identity.
 
 The two-puncture case engine is purely combinatorial: it enumerates how an
@@ -20,7 +22,8 @@ whose consequence is m_P, m_Q < d0 unless d0 = m_P = m_Q = 1.  Every
 The quadric exclusion searches for a line meeting each non-quadric component
 in a single point (restriction a perfect power -- a rank-one condition on
 scaled binary-form coefficients) and passing through the two tangency points
-on the quadric.  It is supported for component degrees up to four.
+on the quadric.  It is supported for component degrees up to
+MAX_TANGENT_DEGREE (four), a cap total_tangent_lines alone enforces.
 
 Three bivariate systems share one exact-first solver, ``_common_zeros``: two
 curves meeting, a curve and its partial derivatives (its singular points),
@@ -69,6 +72,7 @@ class DegenerateChangeError(PlaneConfError):
 
 _BINOM = [[math.comb(n, k) for k in range(n + 1)] for n in range(12)]
 SAME_TOL = 1e-9         # how far numeric points or lines may differ
+MAX_TANGENT_DEGREE = 4  # highest degree the total-tangent search takes
 
 
 # ---------------------------------------------------------------------------
@@ -260,15 +264,9 @@ def intersection_points(c1: PlaneCurve, c2: PlaneCurve, seed: int = 0):
     """All intersection points with exact local multiplicities.
 
     Returns [(ProjPoint, multiplicity)] with the Bezout identity
-    sum(multiplicities) == deg(c1) * deg(c2) asserted exactly.
+    sum(multiplicities) == deg(c1) * deg(c2) asserted exactly.  Raises
+    NonCoprimeError when the curves share a component.
     """
-    if not _coprime(c1.poly, c2.poly):
-        raise NonCoprimeError("curves share a component")
-    return _coprime_intersections(c1, c2, seed)
-
-
-def _coprime_intersections(c1, c2, seed):
-    """intersection_points for a pair already known to be coprime."""
     d1, d2 = c1.degree, c2.degree
     last = None
     for matrix in _change_schedule(seed=seed, attempts=8):
@@ -284,24 +282,20 @@ def _intersections_in_chart(c1, c2, matrix):
     d1, d2 = c1.degree, c2.degree
     p1 = c1.poly.substitute_linear(matrix)
     p2 = c2.poly.substitute_linear(matrix)
-    # nothing at infinity: the two restrictions to x2 = 0 share no root
-    r1 = p1.substitute_value(2, CRat(0))
-    r2 = p2.substitute_value(2, CRat(0))
-    if r1.is_zero() or r2.is_zero():
-        raise DegenerateChangeError("infinity line inside a curve")
-    if _binary_resultant(r1, r2).is_zero():
-        raise DegenerateChangeError("intersection on the infinity line")
+    # regular direction: each top v-coefficient is the constant x1^d one
+    if (0, d1, 0) not in p1.terms or (0, d2, 0) not in p2.terms:
+        raise DegenerateChangeError("elimination direction not regular")
     a1 = p1.substitute_value(2, CRat(1))
     a2 = p2.substitute_value(2, CRat(1))
-    # regular elimination direction: top v-coefficients are constants
-    if a1.degree_in(1) != d1 or a2.degree_in(1) != d2 or \
-            a1.as_univariate(1)[d1].total_degree() > 0 or \
-            a2.as_univariate(1)[d2].total_degree() > 0:
-        raise DegenerateChangeError("elimination direction not regular")
+    # a shared factor has positive v-degree; the u^(d1 d2) coefficient is
+    # the resultant of the restrictions to x2 = 0
     res = resultant_bivariate(a1, a2, elim=1)
+    if res.is_zero():
+        raise NonCoprimeError("curves share a component")
     if res.degree != d1 * d2:
         raise DegenerateChangeError(
-            f"eliminant degree {res.degree} != {d1 * d2}")
+            f"eliminant degree {res.degree} != {d1 * d2}: an intersection "
+            "on the line at infinity")
     out = []
     for u, vs, mult in _common_zeros(a1, a2, res):
         if len(vs) != 1:
@@ -329,19 +323,6 @@ def _apply_matrix(matrix, y):
         matrix = [[c.to_complex() for c in row] for row in matrix]
         y = [complex(c) for c in y]
     return tuple(sum(a * b for a, b in zip(row, y)) for row in matrix)
-
-
-def _binary_resultant(f: MPoly, g: MPoly):
-    """Resultant of two binary forms (exact scalar)."""
-    from .polys import sylvester_det
-    df, dg = f.total_degree(), g.total_degree()
-    fc = [CRat(0)] * (df + 1)
-    for (i, j), c in f.terms.items():
-        fc[i] = c
-    gc = [CRat(0)] * (dg + 1)
-    for (i, j), c in g.terms.items():
-        gc[i] = c
-    return sylvester_det(fc, gc)
 
 
 def _common_zeros(f: MPoly, g: MPoly, eliminant: Poly):
@@ -440,8 +421,7 @@ def normal_crossings(conf: Configuration, seed: int = 0) -> CrossingsReport:
     points = {}
     for i in range(3):
         for j in range(i + 1, 3):
-            # Configuration proved every pair coprime on construction
-            pts = _coprime_intersections(conf.curves[i], conf.curves[j], seed)
+            pts = intersection_points(conf.curves[i], conf.curves[j], seed)
             points[(i, j)] = pts
             worst = max(m for _, m in pts)
             pairwise.append({
@@ -613,11 +593,12 @@ def _restrict_to_line(poly: MPoly, p1, p2, lift):
 def total_tangent_lines(curve: PlaneCurve):
     """All lines meeting the curve in a single point (full multiplicity).
 
-    Supported for degrees 3..4 (the rank-one system is solved by pairwise
-    resultants with exact verification; candidates found only numerically
-    are kept as numeric lines).  On a conic every tangent line is a
-    total tangent, a one-parameter family rather than a finite set, so
-    degree 2 is refused up front like degrees 1 and 5+.
+    Supported for degrees 3 to MAX_TANGENT_DEGREE (the rank-one system is
+    solved by pairwise resultants with exact verification; candidates found
+    only numerically are kept as numeric lines).  On a conic every tangent
+    line is a total tangent, a one-parameter family rather than a finite
+    set, so degree 2 is refused up front like degree 1 and degrees past
+    the cap.
     """
     d = curve.degree
     if d < 2:
@@ -625,10 +606,12 @@ def total_tangent_lines(curve: PlaneCurve):
     if d == 2:
         raise UnsupportedDegreeError(
             "every tangent line of a conic is a total tangent: the lines "
-            "form a one-parameter family (search supports degrees 3..4)")
-    if d > 4:
+            "form a one-parameter family (search supports degrees "
+            f"3..{MAX_TANGENT_DEGREE})")
+    if d > MAX_TANGENT_DEGREE:
         raise UnsupportedDegreeError(
-            f"total-tangent search unsupported at degree {d} (cap 4)")
+            f"total-tangent search unsupported at degree {d} "
+            f"(cap {MAX_TANGENT_DEGREE})")
     lam = MPoly.monomial(2, (1, 0), CRat(1))
     mu = MPoly.monomial(2, (0, 1), CRat(1))
 
@@ -724,6 +707,8 @@ def quadric_line_exclusion(conf: Configuration) -> ExclusionReport:
 
     A violating line meets each non-quadric component in one point (total
     tangency) and meets the quadric exactly in those two contact points.
+    A component past MAX_TANGENT_DEGREE raises UnsupportedDegreeError from
+    total_tangent_lines.
     """
     quadrics = [i for i, c in enumerate(conf.curves) if c.degree == 2]
     if len(quadrics) != 1:
@@ -732,10 +717,6 @@ def quadric_line_exclusion(conf: Configuration) -> ExclusionReport:
     qi = quadrics[0]
     quadric = conf.curves[qi]
     others = [c for i, c in enumerate(conf.curves) if i != qi]
-    for c in others:
-        if c.degree > 4:
-            raise UnsupportedDegreeError(
-                f"component degree {c.degree} beyond the search cap 4")
     notes = []
     line_curves = [c for c in others if c.degree == 1]
     heavy = [c for c in others if c.degree >= 3]

@@ -260,8 +260,6 @@ def squarefree_decomposition(p: Poly):
     while b.degree > 0:
         d = c - b.derivative()
         g = poly_gcd(b, d)
-        if g.is_zero():
-            g = Poly([1])
         if g.degree > 0:
             out.append((g, i))
         b = b.exact_div(g)
@@ -711,13 +709,6 @@ class RatFunc(Frozen):
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if not isinstance(other, RatFunc):
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError
-        return RatFunc(self.num * other.den, self.den * other.num)
-
     def __eq__(self, other):
         if not isinstance(other, RatFunc):
             return NotImplemented
@@ -825,8 +816,7 @@ def snap_to_crat(z) -> CRat:
     Snaps from the exact binary value of z, so the full working precision
     of an mpmath root is used, not just its nearest float.
     """
-    re = _binary_fraction(z.real if hasattr(z, "real") else z)
-    im = _binary_fraction(z.imag if hasattr(z, "imag") else 0.0)
+    re, im = _binary_fraction(z.real), _binary_fraction(z.imag)
     return CRat(re.limit_denominator(SNAP_DEN), im.limit_denominator(SNAP_DEN))
 
 

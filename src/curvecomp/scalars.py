@@ -49,8 +49,6 @@ def _frac(x) -> Fraction:
         return x
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
     raise TypeError(f"cannot build an exact rational from {x!r}")
 
 
@@ -111,12 +109,6 @@ class CRat(Frozen):
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        if isinstance(re, CRat):
-            if im:
-                raise TypeError("cannot combine CRat with an imaginary part")
-            object.__setattr__(self, "re", re.re)
-            object.__setattr__(self, "im", re.im)
-            return
         object.__setattr__(self, "re", _frac(re))
         object.__setattr__(self, "im", _frac(im))
 

@@ -216,6 +216,18 @@ class TestCase1:
         with pytest.raises(AssertionError, match="broken invariant"):
             case1_refute(summands, radii=self.WITNESS_RADII)
 
+    def test_common_polynomial_factor_is_stripped(self):
+        # z e^z, 2z e^{z^2}, -3z e^{z^3} share the zero z = 0; without it
+        # they are e^z, 2 e^{z^2}, -3 e^{z^3}
+        xi3 = poly(0, 0, 0, 1)
+        plain = [exp_of(ETA), exp_of(XI2, 2), exp_of(xi3, -3)]
+        with_z = [ExpPoly([(poly(0, c), p)])
+                  for c, p in ((1, ETA), (2, XI2), (-3, xi3))]
+        want = case1_refute(plain, radii=self.WITNESS_RADII)
+        got = case1_refute(with_z, radii=self.WITNESS_RADII)
+        assert got.to_json() == want.to_json()
+        assert got.L == 3 and got.refuted
+
     def test_two_summands_syntactic(self):
         rep = case1_refute([exp_of(ETA), ExpPoly.from_poly(ETA).scale(-1)])
         assert rep.refuted and "rational function" in rep.reason

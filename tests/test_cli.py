@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -252,6 +253,25 @@ class TestExpfunCli:
         code, doc = run_json(tmp_path, "o.json",
                              ["expfun", "eval", "--f", str(f), "--point", "0"])
         assert code == 0 and doc["value"] == [1.0, 0.0]
+
+    @pytest.mark.parametrize("point, coeff, value", [
+        ("720", [1, 10 ** 10, 0, 1], 1e-10 * math.exp(360) * math.exp(360)),
+        ("705", [1, 1, 0, 1], math.exp(705)),
+        ("710", [1, 1, 0, 1], None),
+    ], ids=["past-exp-range", "below-limit", "past-limit"])
+    def test_eval_near_the_float_range(self, tmp_path, point, coeff, value):
+        f = tmp_path / "f.json"
+        f.write_text(json.dumps(
+            [{"coeff": [coeff], "exp": [[0, 1, 0, 1], [1, 1, 0, 1]]}]))
+        code, doc = run_json(tmp_path, "o.json",
+                             ["expfun", "eval", "--f", str(f), "--point", point])
+        if value is None:
+            assert code == 1
+            assert doc["error"]["type"] == "EvalOverflowError"
+        else:
+            assert code == 0, doc
+            assert doc["value"][0] == pytest.approx(value, rel=1e-14)
+            assert doc["value"][1] == 0.0
 
     def test_iszero(self, tmp_path):
         f = tmp_path / "f.json"

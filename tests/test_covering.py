@@ -181,6 +181,13 @@ class TestPushDown:
         with pytest.raises(NonInvariantFormError):
             push_down(SymForm.monomial(2, 0, Z1), B2)
 
+    def test_coefficient_spanning_two_classes_rejected(self):
+        # z1 + z1^2: its monomials lie in the classes 1 and 0 mod 2
+        form = SymForm.monomial(1, 0, Z1 + Z1 * Z1)
+        with pytest.raises(NonInvariantFormError,
+                           match="breaks the mod-2 class"):
+            push_down(form, B2)
+
     def test_round_trip(self):
         rng = random.Random(21)
         for _ in range(10):
@@ -207,6 +214,13 @@ class TestAnnihilation:
         ok, _ = annihilation_check(SymForm.monomial(1, 1, CRat(1)),
                                    exp_of(XI), exp_of(XI))
         assert not ok
+
+    def test_denominator_vanishing_on_the_curve_rejected(self):
+        # 1/(x1 - x2) on g1 = g2 = e^z
+        form = SymForm.monomial(1, 0, RatFunc(MPoly.monomial(2, (0, 0)),
+                                              Z1 - Z2))
+        with pytest.raises(CoveringError, match="vanishes identically"):
+            annihilation_check(form, exp_of(XI), exp_of(XI))
 
     def test_inverse_pair(self):
         g1, g2 = exp_of(XI), exp_of(poly(0, -1))

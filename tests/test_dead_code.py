@@ -5,7 +5,9 @@ A stdlib ``ast`` check in place of a dead-code linter, the sibling of
 in ``src``, ``tests`` or ``perfbench`` reads its name outside the definition
 itself: as a name, an attribute, an imported name, or a string that is
 exactly the name (``monkeypatch.setattr(mod, "name", ...)``, string
-annotations).  A function that only calls itself is not named.
+annotations).  A function that only calls itself is not named.  A private
+definition (``_name``) must be named in ``src`` itself: a helper that only
+tests or the benchmark call is dead program code.
 """
 
 import ast
@@ -89,3 +91,31 @@ def _found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unnamed_definition(path):
     assert [f for f in _found() if f[0] == path.name] == []
+
+
+def test_checker_finds_private_definitions_only_tests_read():
+    lib = ("def _kept():\n"
+           "    pass\n"
+           "def _tested():\n"
+           "    pass\n"
+           "def public():\n"
+           "    return _kept()\n")
+    user = "from lib import _tested, public\n"
+    assert unnamed_definitions({"lib": lib}, [user]) == []
+    assert _private(unnamed_definitions({"lib": lib})) == [
+        ("lib", "_tested", 3)]
+
+
+def _private(found):
+    return [f for f in found if f[1].startswith("_")]
+
+
+@cache
+def _found_in_src():
+    return _private(unnamed_definitions(
+        {p.name: p.read_text(encoding="utf-8") for p in MODULES}))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_private_definitions_are_read_in_src(path):
+    assert [f for f in _found_in_src() if f[0] == path.name] == []

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,6 +31,25 @@ class TestEvaluate:
         f = exp_of(XI2)
         with pytest.raises(EvalOverflowError):
             f.evaluate(40.0)
+
+    def test_value_inside_float_range_past_exp_range(self):
+        # 1e-10 e^z at z = 720: e^720 alone overflows, the value does not;
+        # at z = 1420 even e^(z/2) does, below a subnormal coefficient
+        for coeff, z in ((Fraction(1, 10 ** 10), 720.0),
+                         (Fraction(1, 10 ** 10), 720 + 2.5j),
+                         (Fraction(1, 10 ** 320), 1420.0)):
+            f = exp_of(XI, cr(coeff))
+            want = complex(mp.mpf(float(coeff)) * mp.exp(mp.mpc(z)))
+            assert abs(f.evaluate(z) - want) <= 1e-15 * abs(want)
+
+    def test_overflow_threshold_is_the_largest_float(self):
+        f = exp_of(XI)
+        assert f.evaluate(705.0) == math.exp(705.0)
+        assert f.evaluate(709.7) == math.exp(709.7)
+        with pytest.raises(EvalOverflowError):
+            f.evaluate(709.8)
+        with pytest.raises(EvalOverflowError):
+            exp_of(XI, cr(Fraction(1, 10 ** 10))).evaluate(733.0)
 
     def test_scaled_eval_never_overflows(self):
         v, s = exp_of(XI2).eval_scaled(40.0)

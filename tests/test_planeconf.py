@@ -7,16 +7,18 @@ from pathlib import Path
 
 import pytest
 
-from curvecomp.planeconf import (Configuration, NonCoprimeError, PlaneCurve,
+from curvecomp.planeconf import (Configuration, DegenerateChangeError,
+                                 NonCoprimeError, PlaneCurve,
                                  PlaneConfError, ProjPoint, TangentLine,
                                  UnsupportedDegreeError,
-                                 _check_quadric_condition, _line_line_meet,
+                                 _change_schedule, _check_quadric_condition,
+                                 _intersections_in_chart, _line_line_meet,
                                  eq_star, fulton_bound,
                                  intersection_points, normal_crossings,
                                  quadric_line_exclusion, surviving_cases,
                                  total_tangent_lines,
                                  two_puncture_case_engine)
-from curvecomp.polys import MPoly
+from curvecomp.polys import MPoly, resultant_bivariate
 from curvecomp.scalars import CRat
 
 from conftest import mp3
@@ -133,6 +135,14 @@ class TestPlaneCurve:
         doc = CONIC_SIMPLE.to_json()
         assert doc["monomials"][0]["coeff"] == [-1, 1]  # rational pairs
         assert PlaneCurve.from_json(doc).poly == CONIC_SIMPLE.poly
+        # x0^2 + (1/2 - 3i) x1^2 - x2^2: a Gaussian coefficient is a quad
+        c = curve([((2, 0, 0), 1), ((0, 2, 0), CRat(Fraction(1, 2), -3)),
+                   ((0, 0, 2), -1)])
+        doc = c.to_json()
+        assert {"exponents": [0, 2, 0], "coeff": [1, 2, -3, 1]} \
+            in doc["monomials"]
+        back = PlaneCurve.from_json(json.loads(json.dumps(doc)))
+        assert back.poly == c.poly and back.to_json() == doc
 
 
 class TestIntersections:
@@ -167,6 +177,21 @@ class TestIntersections:
     def test_shared_component_rejected(self):
         with pytest.raises(NonCoprimeError):
             intersection_points(X0, X0)
+        # x0 x1 and x1: the identity chart is not regular for x0 x1, and in
+        # the first regular one the eliminant vanishes identically
+        with pytest.raises(NonCoprimeError):
+            intersection_points(curve([((1, 1, 0), 1)]), X1)
+
+    def test_meeting_only_at_infinity(self):
+        # x0 + x1 and x0 + x1 + x2 meet at (1 : -1 : 0) alone, on the line
+        # at infinity of the identity chart, where the eliminant is constant
+        a = curve([((1, 0, 0), 1), ((0, 1, 0), 1)])
+        b = curve([((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 1)])
+        identity = next(_change_schedule(seed=0))
+        with pytest.raises(DegenerateChangeError, match="line at infinity"):
+            _intersections_in_chart(a, b, identity)
+        (point, mult), = intersection_points(a, b)
+        assert mult == 1 and point == pt(1, -1, 0)
 
     def test_bezout_cubics(self):
         pts = intersection_points(C1, FERMAT)
@@ -208,6 +233,69 @@ class TestIntersections:
                        CRat(0)) for i in range(3)]
             assert any(p.same_as(ProjPoint.of(img))
                        for p, _ in pts_orig)
+
+
+def _random_form(rng, d, through=None):
+    """A form of degree d with coefficients in [-4, 4], passing through
+    (1 : through : 0) when through is given."""
+    cs = {(e0, e1, d - e0 - e1): rng.randint(-4, 4) for e0 in range(d + 1)
+          for e1 in range(d + 1 - e0)}
+    if through is not None:
+        cs[(d, 0, 0)] -= sum(c * through ** e[1]
+                             for e, c in cs.items() if e[2] == 0)
+    return mp3(cs.items())
+
+
+class TestEliminantDecidesTheChart:
+    """Where both forms have their x1^d coefficient, the eliminant is
+    identically zero exactly when the forms share a component, and has
+    degree d1 d2 exactly when they share no point on x2 = 0.  The oracle
+    is sympy's gcd of the forms and resultant of their restrictions."""
+
+    def _pairs(self, rng):
+        for _ in range(16):
+            yield (_random_form(rng, rng.randint(1, 3)),
+                   _random_form(rng, rng.randint(1, 3)))
+        for _ in range(6):    # a shared component h
+            h = _random_form(rng, rng.randint(1, 2))
+            yield (h * _random_form(rng, rng.randint(0, 1)),
+                   h * _random_form(rng, rng.randint(0, 1)))
+        for _ in range(8):    # a common point (1 : a : 0)
+            a = rng.randint(-3, 3)
+            yield (_random_form(rng, rng.randint(1, 3), through=a),
+                   _random_form(rng, rng.randint(1, 3), through=a))
+
+    def test_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        xs = sympy.symbols("x0 x1 x2")
+
+        def to_sympy(form):
+            return sum(sympy.Rational(c.re.numerator, c.re.denominator)
+                       * xs[0] ** e[0] * xs[1] ** e[1] * xs[2] ** e[2]
+                       for e, c in form.terms.items())
+
+        rng = random.Random(23)
+        seen = {"shared": 0, "at infinity": 0, "regular": 0}
+        for seed, (f1, f2) in enumerate(self._pairs(rng)):
+            if f1.is_zero() or f2.is_zero():
+                continue
+            d1, d2 = f1.total_degree(), f2.total_degree()
+            for matrix in _change_schedule(seed=seed, attempts=2):
+                p1, p2 = (f.substitute_linear(matrix) for f in (f1, f2))
+                if (0, d1, 0) not in p1.terms or (0, d2, 0) not in p2.terms:
+                    continue
+                res = resultant_bivariate(p1.substitute_value(2, CRat(1)),
+                                          p2.substitute_value(2, CRat(1)),
+                                          elim=1)
+                s1, s2 = to_sympy(p1), to_sympy(p2)
+                shared = sympy.Poly(sympy.gcd(s1, s2), *xs).total_degree() > 0
+                at_infinity = sympy.expand(sympy.resultant(
+                    s1.subs(xs[2], 0), s2.subs(xs[2], 0), xs[1])) == 0
+                assert res.is_zero() == shared
+                assert (res.degree == d1 * d2) == (not at_infinity)
+                seen["shared" if shared else "at infinity" if at_infinity
+                     else "regular"] += 1
+        assert min(seen.values()) >= 5, seen
 
 
 def _random_curve(rng, d, tries=40):
@@ -256,7 +344,7 @@ class TestNormalCrossings:
         assert len(calls) == 3
         assert [p["bezout_total"] for p in rep.pairwise] == [2, 2, 1]
         intersection_points(CONIC_SIMPLE, X1)
-        assert len(calls) == 4
+        assert len(calls) == 3
 
 
 class TestCaseEngine:
@@ -355,6 +443,11 @@ class TestTotalTangents:
         quintic = curve([((5, 0, 0), 1), ((0, 5, 0), 1), ((0, 0, 5), 1)])
         with pytest.raises(UnsupportedDegreeError):
             total_tangent_lines(quintic)
+        # the exclusion search meets the same cap in total_tangent_lines
+        conf = Configuration([CONIC_SIMPLE, X0, quintic])
+        with pytest.raises(UnsupportedDegreeError,
+                           match="degree 5 \\(cap 4\\)"):
+            quadric_line_exclusion(conf)
 
     def test_conic_refused_as_a_family(self):
         # every tangent of a smooth conic is total, so there is no finite
