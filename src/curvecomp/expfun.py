@@ -324,6 +324,17 @@ def _horner(lead, rest, zs) -> list:
     return col
 
 
+def column_max(cols) -> list:
+    """The column of pointwise maxima of one or more equal-length columns
+    (cols[0] itself for one), by the builtin max's rule with no call per
+    point: y replaces x only where y > x, so the first value is kept on a
+    tie or a NaN, as map(max, *cols) keeps it."""
+    out = cols[0]
+    for col in cols[1:]:
+        out = [y if y > x else x for x, y in zip(out, col)]
+    return out
+
+
 def eval_columns(expos, comps, zs, refs: bool = False) -> list:
     """Each component of comps evaluated at every point of zs, by columns.
 
@@ -335,40 +346,55 @@ def eval_columns(expos, comps, zs, refs: bool = False) -> list:
     cancellation.  Terms more than 745 below s underflow to zero and are
     skipped in v.  The work runs column by column: the Horner pass of each
     exponent over all points and its real part, taken once however many
-    terms share the exponent; then each component's scale; then per term
-    one pass for a polynomial coefficient (a constant one is used as it
-    is) and one for the value, which forms w - s as it goes.  Every point
+    terms share the exponent; then each component's scale, by column_max
+    over its terms; then per term one pass for a polynomial coefficient (a
+    constant one is used as it is) and one for the value, which forms
+    w - s as it goes.  Where every exponent of a component is constant, s
+    and each w - s are the same at every point, so exp(w - s),
+    exp(Re w - s) and the skip are decided once per term.  Every point
     sees the float operations of a one-point evaluation in the same order,
     so a value does not depend on the other points of the batch.
     """
     n = len(zs)
     ws = [[w] * n if rest is None else [c + x for x in _horner(w, rest, zs)]
           for w, rest, c in expos]
-    reals = [[w.real for w in col] for col in ws]
+    reals = [[w.real] * n if rest is None else [x.real for x in col]
+             for (w, rest, _), col in zip(expos, ws)]
     cexp, rexp = cmath.exp, math.exp
     out = []
     for terms in comps:
         vs = [0j] * n
         rs = [0.0] * n
-        if not terms:
-            ss = [0.0] * n
-        elif len(terms) == 1:
-            ss = reals[terms[0][2]]
+        if all(expos[i][1] is None for _, _, i in terms):
+            # read off the constants, not the columns: they are empty at n = 0
+            s = max((expos[i][0].real for _, _, i in terms), default=0.0)
+            ss = [s] * n
+            for q, rest, i in terms:
+                w = expos[i][0]
+                qs = _horner(q, rest, zs) if rest else repeat(q)
+                # skipped in v where it underflows, as at each point below
+                if (e := w - s).real >= -745.0:
+                    x = cexp(e)
+                    vs = [v + y * x for v, y in zip(vs, qs)]
+                if refs:
+                    x = rexp(w.real - s)
+                    ys = map(abs, qs) if rest else repeat(abs(q))
+                    rs = [r + y * x for r, y in zip(rs, ys)]
         else:
-            ss = list(map(max, *[reals[i] for _, _, i in terms]))
-        for q, rest, i in terms:
-            if rest:
-                qs = _horner(q, rest, zs)
-                vs = [v if (e := w - s).real < -745.0 else v + x * cexp(e)
-                      for v, x, w, s in zip(vs, qs, ws[i], ss)]
-            else:
-                vs = [v if (e := w - s).real < -745.0 else v + q * cexp(e)
-                      for v, w, s in zip(vs, ws[i], ss)]
-            if refs:
-                # Re(w - s) is Re w - s, read off the real column
-                xs = map(abs, qs) if rest else repeat(abs(q))
-                rs = [r + x * rexp(wr - s)
-                      for r, x, wr, s in zip(rs, xs, reals[i], ss)]
+            ss = column_max([reals[i] for _, _, i in terms])
+            for q, rest, i in terms:
+                if rest:
+                    qs = _horner(q, rest, zs)
+                    vs = [v if (e := w - s).real < -745.0 else v + x * cexp(e)
+                          for v, x, w, s in zip(vs, qs, ws[i], ss)]
+                else:
+                    vs = [v if (e := w - s).real < -745.0 else v + q * cexp(e)
+                          for v, w, s in zip(vs, ws[i], ss)]
+                if refs:
+                    # Re(w - s) is Re w - s, read off the real column
+                    xs = map(abs, qs) if rest else repeat(abs(q))
+                    rs = [r + x * rexp(wr - s)
+                          for r, x, wr, s in zip(rs, xs, reals[i], ss)]
         out.append((vs, ss, rs) if refs else (vs, ss))
     return out
 

@@ -10,9 +10,12 @@ count.  Every evaluation goes through the column kernel
 angle: each step of the adaptive quadrature evaluates the nodes of all its
 arcs in one call, and each sweep of a circle its whole list of angles, a
 doubled resolution only the new ones; log||f||^2 combines the components'
-columns in column passes too.  Values are doubles: where a coefficient
-polynomial leaves the double range on the circle the integrand is NaN,
-and the quadrature raises QuadratureError rather than return a value.
+columns in column passes too.  The sweep angles and their unit points are
+a grid table built once per process, so a sweep of radius r forms each
+point as r * u.  Values are doubles: where a coefficient polynomial leaves
+the double range on the circle the integrand is NaN, and the quadrature
+raises QuadratureError rather than return a value; a winding count raises
+EvalOverflowError where a sweep meets a value that is NaN or infinite.
 Since the count does not decrease with the radius, the ladder is bisected
 from its two ends and a stretch whose end counts agree is filled without
 sweeping it.  For entire functions with very many zeros a circle-mean
@@ -34,12 +37,13 @@ from __future__ import annotations
 import cmath
 import heapq
 import math
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations, zip_longest
-from operator import add, mul
+from operator import add, mul, truediv
 
 from . import Frozen, Record
-from .expfun import EvalOverflowError, ExpPoly, compile_terms, eval_columns
+from .expfun import (EvalOverflowError, ExpPoly, column_max, compile_terms,
+                     eval_columns)
 from .polys import MPoly, det_field, rank_field
 from .scalars import CRat
 
@@ -105,17 +109,17 @@ class ProjCurve(Frozen):
         """log_norm_sq at every point of zs, in one call to eval_columns.
 
         The components are combined in column passes: the column of
-        log|f_j| per component (-inf where f_j vanishes), their maximum m,
-        the sum a of exp(2 (log|f_j| - m)) one component at a time, and
-        2 m + log a.  A vanishing component adds exp(-inf) = 0.0 to the
-        sum, so it leaves it as it was; where every component vanishes
-        the result is -inf, and a NaN anywhere gives NaN.
+        log|f_j| per component (-inf where f_j vanishes), their maximum m
+        by column_max, the sum a of exp(2 (log|f_j| - m)) one component at
+        a time, and 2 m + log a.  A vanishing component adds exp(-inf) =
+        0.0 to the sum, so it leaves it as it was; where every component
+        vanishes the result is -inf, and a NaN anywhere gives NaN.
         """
         ninf = float("-inf")
         log, exp = math.log, math.exp
         cols = [[s + log(abs(v)) if v else ninf for v, s in zip(vs, ss)]
                 for vs, ss in eval_columns(*self.compiled(), zs)]
-        ms = list(map(max, *cols)) if len(cols) > 1 else cols[0]
+        ms = column_max(cols)
         if ninf in ms:
             # m = -inf only where the first component vanishes and no other
             # is above -inf: take m = 0 there, so that the sum is 0.0 where
@@ -534,20 +538,48 @@ def circle_log_mean(h: ExpPoly, r: float, tol: float = 1e-8) -> float:
 # winding numbers and counting functions
 # ---------------------------------------------------------------------------
 
+class _Grid(tuple):
+    """The angles 2pi k / n of one sweep, with their unit points
+    complex(cos theta, sin theta) in units."""
+
+
+@lru_cache(maxsize=None)
+def _grid(n: int, odd: bool) -> _Grid:
+    """The angles 2pi k / n for every k < n, or for the odd k only, as the
+    sweeps of winding_number take them; each grid is built once per
+    process, its unit points by the expression _on_circle uses."""
+    grid = _Grid([2.0 * math.pi * k / n
+                  for k in (range(1, n, 2) if odd else range(n))])
+    grid.units = [complex(math.cos(t), math.sin(t)) for t in grid]
+    return grid
+
+
 def _circle_values(h: ExpPoly, radius: float, thetas) -> list:
     """h's scaled values v at the angles thetas on the circle |z| = radius.
 
     v is eval_scaled's v at z = radius e^(i theta), all the angles in one
-    call to eval_columns.  Where |v| is below 1e-12 of the cancellation
-    reference (the size v would have without cancellation), WindingError
-    names the first such angle.
+    call to eval_columns; on a sweep grid each point is radius times the
+    grid's unit point, the value _on_circle gives.  Where |v| is below
+    1e-12 of the cancellation reference (the size v would have without
+    cancellation), WindingError names the first such angle, unless the
+    reference is infinite at some angle: then EvalOverflowError names the
+    first of those, since no nudged radius brings h back into range.
     """
     expos, terms = h.compiled()
-    (vs, _, refs), = eval_columns(expos, (terms,), _on_circle(radius, thetas),
-                                  refs=True)
-    small = [a <= 1e-12 * max(ref, 1e-300)
+    if isinstance(thetas, _Grid):
+        zs = [radius * u for u in thetas.units]
+    else:
+        zs = _on_circle(radius, thetas)
+    (vs, _, refs), = eval_columns(expos, (terms,), zs, refs=True)
+    # max(ref, 1e-300) by the builtin's rule, a NaN ref kept
+    small = [a <= 1e-12 * (1e-300 if ref < 1e-300 else ref)
              for a, ref in zip(map(abs, vs), refs)]
     if True in small:
+        if math.inf in refs:
+            raise EvalOverflowError(
+                f"h is not finite on r={radius} at "
+                f"theta={thetas[refs.index(math.inf)]}: "
+                f"a value out of the floating range")
         raise WindingError(f"near-zero on circle r={radius} "
                            f"at theta={thetas[small.index(True)]}")
     return vs
@@ -569,10 +601,12 @@ def _winding_pass(h: ExpPoly, radius: float, vals: list):
     """
     n = len(vals)
     half_pi = 0.5 * math.pi
-    ds = [cmath.phase(vb / va) for va, vb in zip(vals, vals[1:] + vals[:1])]
+    ds = list(map(cmath.phase, map(truediv, vals[1:] + vals[:1], vals)))
     total = 0.0
     top = n
-    for k in [k for k, d in enumerate(ds) if not abs(d) <= half_pi][::-1]:
+    # a NaN step fails -half_pi <= d <= half_pi, as it fails abs(d) <= half_pi
+    for k in [k for k, d in enumerate(ds)
+              if not -half_pi <= d <= half_pi][::-1]:
         total = reduce(add, reversed(ds[k + 1:top]), total)
         top = k
         stack = [(2.0 * math.pi * k / n, 2.0 * math.pi * (k + 1) / n,
@@ -604,8 +638,10 @@ def winding_number(h: ExpPoly, radius: float) -> int:
     Two consecutive sweep resolutions must agree; a result further than 0.1
     from an integer is an error.  The grid of angles 2pi k / n is swept
     once from n = _SWEEP0: each doubling of n evaluates only the new
-    odd-index angles, the even ones recurring bit for bit.  A value out of
-    the floating range raises EvalOverflowError, which zero_count does not
+    odd-index angles, the even ones recurring bit for bit.  The grids come
+    from _grid, whose unit points are computed once per process, so a
+    sweep forms each point as one product radius * u.  A value out of the
+    floating range raises EvalOverflowError, which zero_count does not
     retry.
     """
     prev = None
@@ -614,11 +650,9 @@ def winding_number(h: ExpPoly, radius: float) -> int:
     while n <= (1 << 17):
         try:
             if vals is None:
-                vals = _circle_values(
-                    h, radius, [2.0 * math.pi * k / n for k in range(n)])
+                vals = _circle_values(h, radius, _grid(n, False))
             else:
-                odd = _circle_values(h, radius, [2.0 * math.pi * k / n
-                                                 for k in range(1, n, 2)])
+                odd = _circle_values(h, radius, _grid(n, True))
                 vals = [v for pair in zip(vals, odd) for v in pair]
             w = _winding_pass(h, radius, vals)
         except OverflowError as exc:

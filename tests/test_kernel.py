@@ -18,10 +18,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from curvecomp.expfun import ExpPoly, eval_columns
+from curvecomp.expfun import (EvalOverflowError, ExpPoly, column_max,
+                              eval_columns)
 from curvecomp.nevanlinna import (ProjCurve, WindingError, _X15,
-                                  _circle_values, _log_abs_on_circle,
+                                  _circle_values, _grid, _log_abs_on_circle,
                                   characteristic, characteristic_scalar,
                                   circle_log_mean)
 from curvecomp.polys import Poly
@@ -127,15 +130,28 @@ def grids(seed, count=16):
 
 
 def ref_circle_values(f, radius, thetas):
-    """The values at thetas by ref_eval_unit, up to the first angle where
-    |v| <= 1e-12 ref (the winding sweep's near-zero test), and that angle."""
-    vals = []
-    for t in thetas:
-        v, ref = ref_eval_unit(f, radius * complex(math.cos(t), math.sin(t)))
-        if abs(v) <= 1e-12 * max(ref, 1e-300):
-            return vals, t
-        vals.append(v)
-    return vals, None
+    """(values, None): the values at thetas by ref_eval_unit; or, where
+    some |v| <= 1e-12 ref (the winding sweep's near-zero test), (error,
+    angle): EvalOverflowError and the first angle whose ref is infinite if
+    there is one, else WindingError and the first angle that failed."""
+    pairs = [ref_eval_unit(f, radius * complex(math.cos(t), math.sin(t)))
+             for t in thetas]
+    small = [t for t, (v, ref) in zip(thetas, pairs)
+             if abs(v) <= 1e-12 * max(ref, 1e-300)]
+    if not small:
+        return [v for v, _ in pairs], None
+    infinite = [t for t, (_, ref) in zip(thetas, pairs) if ref == math.inf]
+    if infinite:
+        return EvalOverflowError, infinite[0]
+    return WindingError, small[0]
+
+
+def sweep_message(error, radius, theta):
+    """The message of _circle_values' error at the angle theta."""
+    if error is EvalOverflowError:
+        return (f"h is not finite on r={radius} at theta={theta}: "
+                f"a value out of the floating range")
+    return f"near-zero on circle r={radius} at theta={theta}"
 
 
 ONE = ExpPoly.constant(1)
@@ -175,12 +191,19 @@ Z800 = ExpPoly.from_poly(poly(*[0] * 800, 1))
 BIG = Fraction(3 * 2 ** 1022)
 OVERFLOW = ExpPoly([(poly(BIG), Poly()), (poly(BIG), poly(0, cr(0, 1)))])
 
+# every exponent constant, two different ones: eval_columns takes s and
+# each term's exponential once for all points
+CONST_EXPONENTS = POLY_PART + TAGGED
+# a constant exponent 800 below the scale 0: its term is skipped in v
+DEEP_CONST = ONE + ExpPoly([(poly(2, 1), Poly(), cr(-800))])
+
 FUNCTIONS = {"zero": ZERO, "one": ONE, "poly_part": POLY_PART,
              "tagged": TAGGED, "mixed": MIXED, "underflow": UNDERFLOW,
              "exp_minus_one": E_XI - ONE, "node_zero": NODE_ZERO,
              "node_zero_exp": NODE_ZERO * E_XI2 + ZERO,
              "underflow_const": UNDERFLOW_CONST, "z800": Z800,
-             "overflow": OVERFLOW}
+             "overflow": OVERFLOW, "const_exponents": CONST_EXPONENTS,
+             "deep_const": DEEP_CONST}
 
 CURVES = {
     # 4 terms, 2 distinct exponents shared between components
@@ -229,6 +252,36 @@ def test_kernel_batches_match_reference(name):
                          tuple(ref_eval_unit(f, z)[1] for z in zs))
 
 
+@pytest.mark.parametrize("name", ["zero", "one", "poly_part", "tagged",
+                                  "const_exponents", "deep_const"])
+def test_kernel_empty_batch_of_constant_exponents(name):
+    expos, terms = FUNCTIONS[name].compiled()
+    assert all(rest is None for _, rest, _ in expos)
+    assert eval_columns(expos, (terms,), []) == [([], [])]
+    assert eval_columns(expos, (terms,), [], refs=True) == [([], [], [])]
+
+
+# NaN, signed zeros, infinities and few enough values for ties
+_column_floats = st.sampled_from(
+    [math.nan, -math.nan, 0.0, -0.0, math.inf, -math.inf, 1.0, -2.5, 1e308])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda n: st.lists(
+    st.lists(st.one_of(_column_floats, st.floats()), min_size=n,
+             max_size=n), min_size=2, max_size=5)))
+def test_column_max_is_the_builtin_max(cols):
+    got = column_max(cols)
+    want = list(map(max, *cols))
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+    assert all(x is y for x, y in zip(got, want))
+
+
+def test_column_max_of_one_column_is_that_column():
+    col = [math.nan, 0.0]
+    assert column_max([col]) is col
+
+
 @pytest.mark.parametrize("name", sorted(CURVES))
 def test_log_norm_sqs_batches_match_reference(name):
     c = CURVES[name]
@@ -270,10 +323,34 @@ def test_eval_unit_matches_reference(name):
             assert_identical(tuple(_circle_values(f, radius, thetas)),
                              tuple(want))
         else:
-            with pytest.raises(WindingError) as exc:
+            with pytest.raises(want) as exc:
                 _circle_values(f, radius, thetas)
-            assert str(exc.value) == (
-                f"near-zero on circle r={radius} at theta={bad}")
+            assert str(exc.value) == sweep_message(want, radius, bad)
+
+
+def sweep_outcome(f, radius, thetas):
+    """_circle_values' values as float bits, or its error and message."""
+    try:
+        return bits(tuple(_circle_values(f, radius, thetas)))
+    except (ArithmeticError, WindingError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(FUNCTIONS))
+def test_grid_sweep_matches_angle_list(name):
+    """A sweep on a grid of winding_number, whose points are radius times
+    the grid's unit points, is a sweep on the same angles given as a list."""
+    f = FUNCTIONS[name]
+    for n, ks in ((256, range(256)), (512, range(1, 512, 2)),
+                  (1024, range(1, 1024, 2))):
+        thetas = [2.0 * math.pi * k / n for k in ks]
+        grid = _grid(n, len(ks) < n)
+        assert_identical(tuple(grid), tuple(thetas))
+        assert_identical(tuple(grid.units), tuple(
+            complex(math.cos(t), math.sin(t)) for t in thetas))
+        for radius in (0.5, 2.5, 40.0):
+            assert (sweep_outcome(f, radius, grid)
+                    == sweep_outcome(f, radius, thetas))
 
 
 def test_near_zero_names_first_failing_angle():
@@ -282,7 +359,7 @@ def test_near_zero_names_first_failing_angle():
     h = E_XI + ONE
     thetas = [2.0 * math.pi * k / 8 for k in range(8)]
     for first, sweep in ((thetas[2], thetas), (thetas[6], thetas[3:])):
-        assert ref_circle_values(h, math.pi, sweep)[1] == first
+        assert ref_circle_values(h, math.pi, sweep) == (WindingError, first)
         with pytest.raises(WindingError) as exc:
             _circle_values(h, math.pi, sweep)
         assert str(exc.value) == (
@@ -318,6 +395,14 @@ def test_cases_are_exercised():
     assert all(abs(OVERFLOW.eval_scaled(z)[0]) == math.inf
                for z in (0j, 1 + 0j, -1j))
     assert math.isnan(CURVES["overflow"].log_norm_sq(0j))
+    with pytest.raises(EvalOverflowError, match=r"r=1\.0 at theta=0\.0:"):
+        _circle_values(OVERFLOW, 1.0, [0.0, 1.0])
+    for f, exponents in ((CONST_EXPONENTS, 2), (DEEP_CONST, 2)):
+        expos, _ = f.compiled()
+        assert len(expos) == exponents
+        assert all(rest is None for _, rest, _ in expos)
+    assert DEEP_CONST.eval_scaled(2.0) == (1 + 0j, 0.0)
+    assert ref_eval_unit(DEEP_CONST, 2.0) == (1 + 0j, 1.0)
 
 
 def test_curve_lists_each_exponent_once():

@@ -187,6 +187,18 @@ class TestWinding:
                 count(Z100_MINUS_ONE, 1211.0)
             assert [s for s in sweeps if s[0] > 2.0] == [(1211.0, 256)]
 
+    def test_infinite_value_is_not_a_zero_on_the_circle(self, monkeypatch):
+        # on |z| = 1220 z^100 leaves the double range in its parts, and
+        # inf <= 1e-12 * inf would pass the near-zero test: every nudged
+        # radius failed (3,317 sweeps) before WindingError was raised
+        sweeps = count_circle_values(monkeypatch)
+        for count in (zero_count, counting_entire):
+            sweeps.clear()
+            with pytest.raises(EvalOverflowError,
+                               match="not finite on r=1220.0 at theta="):
+                count(Z100_MINUS_ONE, 1220.0)
+            assert [s for s in sweeps if s[0] > 2.0] == [(1220.0, 256)]
+
 
 class TestCounting:
     def test_exp_unit_divisor(self):
