@@ -351,7 +351,9 @@ def eval_columns(expos, comps, zs, refs: bool = False) -> list:
     constant one is used as it is) and one for the value, which forms
     w - s as it goes.  Where every exponent of a component is constant, s
     and each w - s are the same at every point, so exp(w - s),
-    exp(Re w - s) and the skip are decided once per term.  Every point
+    exp(Re w - s) and the skip are decided once per term, and the first
+    term added makes its column 0j + q(z) x with no pass over the zero
+    column (one value n times for a constant coefficient).  Every point
     sees the float operations of a one-point evaluation in the same order,
     so a value does not depend on the other points of the batch.
     """
@@ -363,7 +365,7 @@ def eval_columns(expos, comps, zs, refs: bool = False) -> list:
     cexp, rexp = cmath.exp, math.exp
     out = []
     for terms in comps:
-        vs = [0j] * n
+        vs = zero = [0j] * n
         rs = [0.0] * n
         if all(expos[i][1] is None for _, _, i in terms):
             # read off the constants, not the columns: they are empty at n = 0
@@ -375,7 +377,13 @@ def eval_columns(expos, comps, zs, refs: bool = False) -> list:
                 # skipped in v where it underflows, as at each point below
                 if (e := w - s).real >= -745.0:
                     x = cexp(e)
-                    vs = [v + y * x for v, y in zip(vs, qs)]
+                    if vs is not zero:
+                        vs = [v + y * x for v, y in zip(vs, qs)]
+                    elif rest:
+                        vs = [0j + y * x for y in qs]
+                    else:
+                        # repeat(q) never ends: one value n times
+                        vs = [0j + q * x] * n
                 if refs:
                     x = rexp(w.real - s)
                     ys = map(abs, qs) if rest else repeat(abs(q))

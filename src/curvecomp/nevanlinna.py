@@ -564,12 +564,39 @@ def _circle_values(h: ExpPoly, radius: float, thetas) -> list:
     cancellation), WindingError names the first such angle, unless the
     reference is infinite at some angle: then EvalOverflowError names the
     first of those, since no nudged radius brings h back into range.
+
+    The test is first decided from a bound, exact in floating point, with
+    no reference column: (A) where every coefficient is a constant, each
+    reference is at most U = 0.0 + |q_1| + |q_2| + ... (every factor
+    exp(Re w_k - s) is at most 1, and rounding is monotone), so no point
+    is small if min |v| > 1e-12 max(U, 1e-300); (B) for one term with a
+    real constant exponent, exp(w - s) is exactly 1 and |v| is its
+    reference wherever v is finite, so no point is small if every |v| is
+    finite and above 1e-12 * 1e-300.  Only where the bound cannot decide
+    is h evaluated again with its references, and the test run on them.
     """
     expos, terms = h.compiled()
     if isinstance(thetas, _Grid):
         zs = [radius * u for u in thetas.units]
     else:
         zs = _on_circle(radius, thetas)
+    if all(not rest for _, rest, _ in terms):
+        # (A): U added in term order, as eval_columns adds the references
+        u = reduce(add, [abs(q) for q, _, _ in terms], 0.0)
+        floor = 1e-12 * (1e-300 if u < 1e-300 else u)
+    elif (len(terms) == 1 and (w := expos[terms[0][2]])[1] is None
+          and not w[0].imag):
+        floor = 1e-12 * 1e-300  # (B)
+    else:
+        floor = None
+    if floor is not None:
+        (vs, _), = eval_columns(expos, (terms,), zs)
+        sizes = list(map(abs, vs))
+        # a NaN |v| is never small; one that comes first fails min, and an
+        # infinite one (small where its reference is infinite) fails max
+        if (min(sizes, default=math.inf) > floor
+                and max(sizes, default=0.0) < math.inf):
+            return vs
     (vs, _, refs), = eval_columns(expos, (terms,), zs, refs=True)
     # max(ref, 1e-300) by the builtin's rule, a NaN ref kept
     small = [a <= 1e-12 * (1e-300 if ref < 1e-300 else ref)
@@ -652,8 +679,10 @@ def winding_number(h: ExpPoly, radius: float) -> int:
             if vals is None:
                 vals = _circle_values(h, radius, _grid(n, False))
             else:
-                odd = _circle_values(h, radius, _grid(n, True))
-                vals = [v for pair in zip(vals, odd) for v in pair]
+                both = [None] * n
+                both[::2] = vals
+                both[1::2] = _circle_values(h, radius, _grid(n, True))
+                vals = both
             w = _winding_pass(h, radius, vals)
         except OverflowError as exc:
             raise EvalOverflowError(

@@ -45,6 +45,20 @@ def count_evaluations(monkeypatch):
     return calls
 
 
+def count_reference_columns(monkeypatch):
+    """Count the eval_columns calls of nevanlinna that ask for the
+    cancellation references (refs=True)."""
+    calls = [0]
+    inner = nevanlinna.eval_columns
+
+    def counted(expos, comps, zs, refs=False):
+        calls[0] += refs
+        return inner(expos, comps, zs, refs)
+
+    monkeypatch.setattr(nevanlinna, "eval_columns", counted)
+    return calls
+
+
 def mp3(monos):
     return MPoly(3, [(e, CRat(Fraction(c)) if not isinstance(c, CRat) else c)
                      for e, c in monos])

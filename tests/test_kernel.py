@@ -30,7 +30,8 @@ from curvecomp.nevanlinna import (ProjCurve, WindingError, _X15,
 from curvecomp.polys import Poly
 from curvecomp.scalars import CRat
 
-from conftest import XI, XI2, count_evaluations, cr, exp_of, poly
+from conftest import (XI, XI2, count_evaluations, count_reference_columns,
+                      cr, exp_of, poly)
 
 
 def ref_eval_scaled(f, z):
@@ -197,13 +198,23 @@ CONST_EXPONENTS = POLY_PART + TAGGED
 # a constant exponent 800 below the scale 0: its term is skipped in v
 DEEP_CONST = ONE + ExpPoly([(poly(2, 1), Poly(), cr(-800))])
 
+# a polynomial scaled into the subnormal range: |v| at |z| = 1 lies between
+# 1e-12 * 1e-300 and 1e-300, so the sweep's near-zero floor decides
+TINY = Fraction(1, 10 ** 310)
+SUBNORMAL = ExpPoly.from_poly(poly(3 * TINY, cr(0, TINY), TINY))
+# one term whose constant exponent is not real, and a polynomial
+# coefficient in a sum: the sweep builds their references
+IMAG_EXPONENT = ExpPoly([(poly(cr(-HALF), 1), Poly(), cr(0, 1))])
+Z_EXP_MINUS_ONE = ExpPoly([(poly(0, 1), XI)]) - ONE
+
 FUNCTIONS = {"zero": ZERO, "one": ONE, "poly_part": POLY_PART,
              "tagged": TAGGED, "mixed": MIXED, "underflow": UNDERFLOW,
              "exp_minus_one": E_XI - ONE, "node_zero": NODE_ZERO,
              "node_zero_exp": NODE_ZERO * E_XI2 + ZERO,
              "underflow_const": UNDERFLOW_CONST, "z800": Z800,
              "overflow": OVERFLOW, "const_exponents": CONST_EXPONENTS,
-             "deep_const": DEEP_CONST}
+             "deep_const": DEEP_CONST, "subnormal": SUBNORMAL,
+             "imag_exponent": IMAG_EXPONENT, "z_exp_minus_one": Z_EXP_MINUS_ONE}
 
 CURVES = {
     # 4 terms, 2 distinct exponents shared between components
@@ -351,6 +362,115 @@ def test_grid_sweep_matches_angle_list(name):
         for radius in (0.5, 2.5, 40.0):
             assert (sweep_outcome(f, radius, grid)
                     == sweep_outcome(f, radius, thetas))
+
+
+def ref_outcome(f, radius, thetas):
+    """ref_circle_values in the form of sweep_outcome."""
+    try:
+        want, bad = ref_circle_values(f, radius, thetas)
+    except OverflowError as exc:
+        return OverflowError, str(exc)
+    if bad is None:
+        return bits(tuple(want))
+    return want, sweep_message(want, radius, bad)
+
+
+GRID = _grid(256, False)
+QUARTER = 0.5 * math.pi
+Z100_MINUS_ONE = ExpPoly.from_poly(poly(-1, *[0] * 99, 1))
+Z200_MINUS_ONE = ExpPoly.from_poly(poly(-1, *[0] * 199, 1))
+# (h, radius, angles, outcome, reference columns built).  The outcome is
+# "values" or the error _circle_values raises; a bound that decides the
+# near-zero test builds no reference column, one that cannot builds one.
+SWEEPS = {
+    # (A) constant coefficients: e^z - 1 vanishes at 2 pi i, the angle
+    # pi/2 of the circle of radius 2 pi, where the two terms cancel
+    "exp_cancels": (E_XI - ONE, 2.0 * math.pi,
+                    [QUARTER - 1e-3, QUARTER, QUARTER + 1e-3], WindingError,
+                    1),
+    "exp_cancels_grid": (E_XI - ONE, 2.0 * math.pi, GRID, WindingError, 1),
+    "exp_off_zero": (E_XI - ONE, 2.0 * math.pi,
+                     [QUARTER - 1e-3, QUARTER + 1e-3], "values", 0),
+    "exp_z2": (E_XI2 - ONE, 4.0, GRID, "values", 0),
+    "const_sum": (E_XI2 + E_XI.scale(3) - ONE.scale(cr(HALF, 2)), 6.0, GRID,
+                  "values", 0),
+    # (B) one term with a real constant exponent: a subnormal |v| is small
+    # exactly where it is at or below 1e-12 * 1e-300
+    "subnormal_small": (ExpPoly.from_poly(poly(0, TINY)), 0.001, GRID,
+                        WindingError, 1),
+    "subnormal_above_floor": (ExpPoly.from_poly(poly(0, TINY)), 0.011,
+                              GRID, "values", 0),
+    "subnormal": (SUBNORMAL, 1.0, GRID, "values", 0),
+    "cubic": (ExpPoly.from_poly(poly(cr(HALF, -1), 0, cr(0, 3), 1)), 1.8,
+              GRID, "values", 0),
+    # values out of the floating range take the reference's way
+    "z100_infinite": (Z100_MINUS_ONE, 1220.0, GRID, EvalOverflowError, 1),
+    "z200_nan": (Z200_MINUS_ONE, 1000.0, GRID, "values", 1),
+    # neither rule applies
+    "imag_exponent": (IMAG_EXPONENT, 0.5, [0.0, 1.0], WindingError, 1),
+    "imag_exponent_off": (IMAG_EXPONENT, 0.5, [1.0], "values", 1),
+    "z_exp_minus_one": (Z_EXP_MINUS_ONE, 0.5671432904097838, [0.0, 1.0],
+                        WindingError, 1),
+    "z_exp_off": (Z_EXP_MINUS_ONE, 2.0, GRID, "values", 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_sweep_bound_decides_as_the_reference(monkeypatch, name):
+    """Where a bound decides the near-zero test no reference column is
+    built; either way the values, or the error and its message, are the
+    reference's."""
+    f, radius, thetas, outcome, columns = SWEEPS[name]
+    want = ref_outcome(f, radius, thetas)
+    assert (want[0] if want[0] in (WindingError, EvalOverflowError)
+            else "values") == outcome
+    calls = count_reference_columns(monkeypatch)
+    assert sweep_outcome(f, radius, thetas) == want
+    assert calls[0] == columns
+
+
+_small_ints = st.integers(-9, 9)
+_gaussian = st.builds(lambda a, b, d: cr(Fraction(a, d), Fraction(b, d)),
+                      _small_ints, _small_ints, st.integers(1, 9))
+_radius = st.sampled_from([1e-3, 0.3, 1.0, 1.8, 2 * math.pi, 40.0, 1e3])
+
+
+@st.composite
+def scaled_polynomials(draw):
+    """A Gaussian-rational polynomial of degree <= 4 times 10^k."""
+    # the ends of the range and the near-zero floor 1e-12 * 1e-300 are
+    # drawn more often than the rest
+    k = draw(st.one_of(st.sampled_from([-320, -313, -312, -311, -300, 300]),
+                       st.integers(-320, 300)))
+    scale = CRat(Fraction(10) ** k)
+    cs = draw(st.lists(_gaussian, min_size=1, max_size=5))
+    return ExpPoly.from_poly(Poly([c * scale for c in cs]))
+
+
+@st.composite
+def constant_coefficient_sums(draw):
+    """A sum of terms c e^{p(z)}, c a constant and deg p <= 2."""
+    terms = [(Poly([c]), Poly(draw(st.lists(_gaussian, max_size=3))))
+             for c in draw(st.lists(_gaussian, min_size=1, max_size=4))]
+    return ExpPoly(terms)
+
+
+def assert_sweeps_match_reference(f, radius, theta):
+    for thetas in (_grid(256, False), _grid(512, True), [theta]):
+        assert sweep_outcome(f, radius, thetas) == ref_outcome(f, radius,
+                                                              thetas)
+
+
+@settings(max_examples=100, deadline=None)
+@given(scaled_polynomials(), _radius, st.floats(0.0, 2 * math.pi))
+def test_polynomial_sweeps_match_reference(f, radius, theta):
+    assert_sweeps_match_reference(f, radius, theta)
+
+
+@settings(max_examples=100, deadline=None)
+@given(constant_coefficient_sums(), _radius, st.floats(0.0, 2 * math.pi))
+def test_constant_coefficient_sweeps_match_reference(f, radius, theta):
+    assert_sweeps_match_reference(f, radius, theta)
 
 
 def test_near_zero_names_first_failing_angle():

@@ -22,7 +22,8 @@ from curvecomp.nevanlinna import (DegenerateCurveError, GeneralPositionError,
 from curvecomp.polys import Poly
 from curvecomp.scalars import CRat
 
-from conftest import XI, XI2, count_evaluations, cr, exp_of, poly
+from conftest import (XI, XI2, count_evaluations, count_reference_columns,
+                      cr, exp_of, poly)
 
 
 def curve(*components):
@@ -334,6 +335,26 @@ class TestCountingPins:
         # the three ladders share one memo of counts, so n(R0) once
         assert len(ts) == len(set(ts)) == 33
         assert ts.count(1.0) == 1
+
+    @pytest.mark.parametrize("name", sorted(COUNTING_PINS) + ["fmt"])
+    def test_sweeps_build_no_reference_column(self, monkeypatch, name):
+        # h has constant coefficients or is a polynomial: a bound decides
+        # every near-zero test of every sweep and bisection midpoint
+        calls = count_reference_columns(monkeypatch)
+        if name == "fmt":
+            fmt_check(curve(ONE, E_XI), hyper(-3, 1), [1.5, 2.0, 3.0])
+        else:
+            h, r, _, _ = COUNTING_PINS[name]
+            counting_entire(h, r)
+        assert calls[0] == 0
+
+    def test_polynomial_coefficient_in_a_sum_builds_references(
+            self, monkeypatch):
+        # z e^z - 1: no bound applies, so the sweeps build the references
+        calls = count_reference_columns(monkeypatch)
+        h = ExpPoly([(XI, XI)]) - ONE
+        assert zero_count(h, 2.0) == 1
+        assert calls[0] >= 1
 
     def test_ladder_ends_first(self, monkeypatch):
         # every root inside the unit circle: n(R0) = n(r) fills the ladder
