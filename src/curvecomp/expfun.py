@@ -335,27 +335,27 @@ def column_max(cols) -> list:
     return out
 
 
-def eval_columns(expos, comps, zs, refs: bool = False) -> list:
+def eval_columns(expos, comps, zs, weights=None) -> list:
     """Each component of comps evaluated at every point of zs, by columns.
 
     expos and comps are the data of :func:`compile_terms`.  Returns per
     component the columns (vs, ss) with f(z) = v * exp(s) at each point, s
     the largest real part of the component's exponents there (v = 0, s = 0
-    for a component with no terms); with refs, also the column of
-    sum_k |q_k(z)| exp(Re w_k - s), the size v would have without
-    cancellation.  Terms more than 745 below s underflow to zero and are
-    skipped in v.  The work runs column by column: the Horner pass of each
-    exponent over all points and its real part, taken once however many
-    terms share the exponent; then each component's scale, by column_max
-    over its terms; then per term one pass for a polynomial coefficient (a
-    constant one is used as it is) and one for the value, which forms
-    w - s as it goes.  Where every exponent of a component is constant, s
-    and each w - s are the same at every point, so exp(w - s),
-    exp(Re w - s) and the skip are decided once per term, and the first
-    term added makes its column 0j + q(z) x with no pass over the zero
-    column (one value n times for a constant coefficient).  Every point
-    sees the float operations of a one-point evaluation in the same order,
-    so a value does not depend on the other points of the batch.
+    for a component with no terms); with weights, one log weight l_k per
+    term of each component, also the winding certificate's bound column
+    sum_k exp(Re w_k - s + l_k).  Terms more than 745 below s underflow to
+    zero and are skipped in v.  The work runs column by column: the Horner
+    pass of each exponent over all points and its real part, taken once
+    however many terms share the exponent; then each component's scale, by
+    column_max over its terms; then per term one pass for a polynomial
+    coefficient (a constant one is used as it is) and one for the value,
+    which forms w - s as it goes.  Where every exponent of a component is
+    constant, s and each w - s are the same at every point, so exp(w - s),
+    the skip and the bound are decided once per term, and the first term
+    added makes its column 0j + q(z) x with no pass over the zero column
+    (one value n times for a constant coefficient).  Every point sees the
+    float operations of a one-point evaluation in the same order, so a
+    value does not depend on the other points of the batch.
     """
     n = len(zs)
     ws = [[w] * n if rest is None else [c + x for x in _horner(w, rest, zs)]
@@ -364,10 +364,9 @@ def eval_columns(expos, comps, zs, refs: bool = False) -> list:
              for (w, rest, _), col in zip(expos, ws)]
     cexp, rexp = cmath.exp, math.exp
     out = []
-    for terms in comps:
+    for terms, ls in zip(comps, weights or repeat(None)):
         vs = zero = [0j] * n
-        rs = [0.0] * n
-        if all(expos[i][1] is None for _, _, i in terms):
+        if const := all(expos[i][1] is None for _, _, i in terms):
             # read off the constants, not the columns: they are empty at n = 0
             s = max((expos[i][0].real for _, _, i in terms), default=0.0)
             ss = [s] * n
@@ -384,10 +383,6 @@ def eval_columns(expos, comps, zs, refs: bool = False) -> list:
                     else:
                         # repeat(q) never ends: one value n times
                         vs = [0j + q * x] * n
-                if refs:
-                    x = rexp(w.real - s)
-                    ys = map(abs, qs) if rest else repeat(abs(q))
-                    rs = [r + y * x for r, y in zip(rs, ys)]
         else:
             ss = column_max([reals[i] for _, _, i in terms])
             for q, rest, i in terms:
@@ -398,12 +393,14 @@ def eval_columns(expos, comps, zs, refs: bool = False) -> list:
                 else:
                     vs = [v if (e := w - s).real < -745.0 else v + q * cexp(e)
                           for v, w, s in zip(vs, ws[i], ss)]
-                if refs:
-                    # Re(w - s) is Re w - s, read off the real column
-                    xs = map(abs, qs) if rest else repeat(abs(q))
-                    rs = [r + x * rexp(wr - s)
-                          for r, x, wr, s in zip(rs, xs, reals[i], ss)]
-        out.append((vs, ss, rs) if refs else (vs, ss))
+        if ls is None:
+            out.append((vs, ss))
+            continue
+        # with constant exponents one point's bound is every point's
+        bs = [0.0] * (1 if const else n)
+        for (_, _, i), l in zip(terms, ls):
+            bs = [b + rexp(wr - s + l) for b, wr, s in zip(bs, reals[i], ss)]
+        out.append((vs, ss, bs * n if const else bs))
     return out
 
 

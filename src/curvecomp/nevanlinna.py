@@ -5,24 +5,24 @@ of log||f||^2 (the radial integration constant is dropped); the scalar
 characteristic is the classical log-plus average.  Counting functions come
 from the argument principle: integer winding numbers on a ladder of radii,
 with the radial integral done exactly on the resolved piecewise-constant
-count.  Every evaluation goes through the column kernel
-:func:`curvecomp.expfun.eval_columns`, bit-identical to evaluating angle by
-angle: each step of the adaptive quadrature evaluates the nodes of all its
-arcs in one call, and each sweep of a circle its whole list of angles, a
-doubled resolution only the new ones; log||f||^2 combines the components'
-columns in column passes too.  The sweep angles and their unit points are
-a grid table built once per process, so a sweep of radius r forms each
-point as r * u.  Values are doubles: where a coefficient polynomial leaves
-the double range on the circle the integrand is NaN, and the quadrature
-raises QuadratureError rather than return a value; a winding count raises
-EvalOverflowError where a sweep meets a value that is NaN or infinite.
-Since the count does not decrease with the radius, the ladder is bisected
-from its two ends and a stretch whose end counts agree is filled without
-sweeping it.  For entire functions with very many zeros a circle-mean
-variant is available (Jensen's identity: N(r) = m(r) - m(r0)); it computes
-the same quantity and is cross-checked against the winding ladder in the
-tests.  The main theorem checks count each function once for all their
-radii, sharing the counts n(t) or the base mean m(r0).
+count.  Each count is proved: one sweep of the circle, every arc of it
+certified by a bound on |h'| that folds in the rounding of the values
+(Ying and Katz, Numer. Math. 53, 1988), only failing arcs bisected.
+Every evaluation goes through the column kernel
+:func:`curvecomp.expfun.eval_columns`: each step of the adaptive
+quadrature evaluates the nodes of all its arcs in one call, and a sweep
+its points, or one depth of midpoints, in one call with the bound column;
+log||f||^2 combines the components' columns in column passes too.  Values
+are doubles: where a coefficient polynomial leaves the double range on the
+circle the integrand is NaN, and the quadrature raises QuadratureError
+rather than return a value; a winding count raises EvalOverflowError where
+a sweep meets a value that is NaN or infinite.  Since the count does not
+decrease with the radius, the ladder is bisected from its two ends and a
+stretch whose end counts agree is filled without sweeping it.  For entire
+functions with very many zeros a circle-mean variant is available
+(Jensen's identity: N(r) = m(r) - m(r0)), cross-checked against the
+winding ladder in the tests.  The main theorem checks count each function
+once for all their radii, sharing the counts n(t) or the base mean m(r0).
 
 All radial normalizations use r0 = 1.  The paper bounds carry O(1) slack;
 every check here therefore fits one constant (or one a*log r + b line) per
@@ -37,9 +37,9 @@ from __future__ import annotations
 import cmath
 import heapq
 import math
-from functools import lru_cache, reduce
-from itertools import combinations, zip_longest
-from operator import add, mul, truediv
+from functools import lru_cache
+from itertools import combinations, compress, zip_longest
+from operator import mul, truediv
 
 from . import Frozen, Record
 from .expfun import (EvalOverflowError, ExpPoly, column_max, compile_terms,
@@ -538,164 +538,161 @@ def circle_log_mean(h: ExpPoly, r: float, tol: float = 1e-8) -> float:
 # winding numbers and counting functions
 # ---------------------------------------------------------------------------
 
-class _Grid(tuple):
-    """The angles 2pi k / n of one sweep, with their unit points
-    complex(cos theta, sin theta) in units."""
+_SWEEP0 = 64           # points of the one sweep of a circle
+_MAX_DEPTH = 54        # bisections of one arc of the sweep
+_MAX_ARCS = 1 << 16    # uncertified arcs one depth may bisect
+_SLACK = 2.0 ** -40    # disc widening per unit radius: point rounding
 
 
 @lru_cache(maxsize=None)
-def _grid(n: int, odd: bool) -> _Grid:
-    """The angles 2pi k / n for every k < n, or for the odd k only, as the
-    sweeps of winding_number take them; each grid is built once per
-    process, its unit points by the expression _on_circle uses."""
-    grid = _Grid([2.0 * math.pi * k / n
-                  for k in (range(1, n, 2) if odd else range(n))])
-    grid.units = [complex(math.cos(t), math.sin(t)) for t in grid]
-    return grid
+def _grid(n: int) -> tuple:
+    """The unit points complex(cos t, sin t), t = 2pi k / n for k < n."""
+    return tuple(complex(math.cos(t), math.sin(t))
+                 for t in (2.0 * math.pi * k / n for k in range(n)))
 
 
-def _circle_values(h: ExpPoly, radius: float, thetas) -> list:
-    """h's scaled values v at the angles thetas on the circle |z| = radius.
+def _majorant(moduli, x: float):
+    """(p(x), p'(x)) for p with the coefficients moduli, top degree first."""
+    val = der = 0.0
+    for c in moduli:
+        der = der * x + val
+        val = val * x + c
+    return val, der
 
-    v is eval_scaled's v at z = radius e^(i theta), all the angles in one
-    call to eval_columns; on a sweep grid each point is radius times the
-    grid's unit point, the value _on_circle gives.  Where |v| is below
-    1e-12 of the cancellation reference (the size v would have without
-    cancellation), WindingError names the first such angle, unless the
-    reference is infinite at some angle: then EvalOverflowError names the
-    first of those, since no nudged radius brings h back into range.
 
-    The test is first decided from a bound, exact in floating point, with
-    no reference column: (A) where every coefficient is a constant, each
-    reference is at most U = 0.0 + |q_1| + |q_2| + ... (every factor
-    exp(Re w_k - s) is at most 1, and rounding is monotone), so no point
-    is small if min |v| > 1e-12 max(U, 1e-300); (B) for one term with a
-    real constant exponent, exp(w - s) is exactly 1 and |v| is its
-    reference wherever v is finite, so no point is small if every |v| is
-    finite and above 1e-12 * 1e-300.  Only where the bound cannot decide
-    is h evaluated again with its references, and the test run on them.
+def _certificate(h: ExpPoly, radius: float):
+    """(floor, log_weights) of the arc certificate of h on |z| = radius.
+
+    For h = sum_k q_k e^{w_k}, w_k = c_k + P_k, within rho of z and with
+    bars for coefficient moduli on |w| <= R = |z| + rho, rho |h'| e^{-s} <=
+    sum_k rho M_k e^{rho L_k} e^{Re w_k(z) - s}, M_k = qbar_k' + qbar_k
+    Pbar_k', L_k = Pbar_k'.  A computed v is within sum_k G_k e^{Re w_k -
+    s} of h(z) e^{-s}, G_k = qbar_k (1 + gamma) e^eta expm1(eta + 4 gamma)
+    + alpha, with gamma = gamma_n (Higham), n = 8 (D + T + 4) for degree D
+    and T terms; eta = 4 gamma max |w_k| + alpha the error of Re w_k - s;
+    alpha = 2^-1020 n sum_{j<=D} max(1, R)^j the losses to underflow.  The
+    log_weights(rho) hold rho M_k e^{rho L_k + eta} + G_k, rounded up:
+    where their eval_columns column is below |v|, no zero is within rho.
+    floor = 3 (1 + gamma) sum_k G_k is thrice the error of any v.
     """
     expos, terms = h.compiled()
-    if isinstance(thetas, _Grid):
-        zs = [radius * u for u in thetas.units]
-    else:
-        zs = _on_circle(radius, thetas)
-    if all(not rest for _, rest, _ in terms):
-        # (A): U added in term order, as eval_columns adds the references
-        u = reduce(add, [abs(q) for q, _, _ in terms], 0.0)
-        floor = 1e-12 * (1e-300 if u < 1e-300 else u)
-    elif (len(terms) == 1 and (w := expos[terms[0][2]])[1] is None
-          and not w[0].imag):
-        floor = 1e-12 * 1e-300  # (B)
-    else:
-        floor = None
-    if floor is not None:
-        (vs, _), = eval_columns(expos, (terms,), zs)
-        sizes = list(map(abs, vs))
-        # a NaN |v| is never small; one that comes first fails min, and an
-        # infinite one (small where its reference is infinite) fails max
-        if (min(sizes, default=math.inf) > floor
-                and max(sizes, default=0.0) < math.inf):
-            return vs
-    (vs, _, refs), = eval_columns(expos, (terms,), zs, refs=True)
-    # max(ref, 1e-300) by the builtin's rule, a NaN ref kept
-    small = [a <= 1e-12 * (1e-300 if ref < 1e-300 else ref)
-             for a, ref in zip(map(abs, vs), refs)]
-    if True in small:
-        if math.inf in refs:
-            raise EvalOverflowError(
-                f"h is not finite on r={radius} at "
-                f"theta={thetas[refs.index(math.inf)]}: "
-                f"a value out of the floating range")
-        raise WindingError(f"near-zero on circle r={radius} "
-                           f"at theta={thetas[small.index(True)]}")
-    return vs
+    # moduli, top degree first: (P, |c|) per exponent, (q, index) per term
+    exps = [((), abs(w)) if rest is None
+            else ([abs(w), *map(abs, rest)], abs(c)) for w, rest, c in expos]
+    coeffs = [([abs(q), *map(abs, rest)], i) for q, rest, i in terms]
+    deg = max([1] + [len(p) - 1 for p, _ in exps + coeffs])
+    n = 8 * (deg + len(terms) + 4)
+    gamma = n * 2.0 ** -53 / (1.0 - n * 2.0 ** -53)
+    up = 1.0 + gamma
+
+    def majorants(x):
+        """(|w_k|, |q_k|, M_k, L_k) bounded on |w| <= x, per term."""
+        es = [(_majorant(p, x), c) for p, c in exps]
+        return [(a + c, qx, dq + qx * dp, dp) for ((a, dp), c), (qx, dq)
+                in ((es[i], _majorant(q, x)) for q, i in coeffs)]
+
+    x = radius * (1.0 + _SLACK)
+    rows = majorants(x)
+    alpha = 2.0 ** -1020 * n * _majorant((1.0,) * (deg + 1), max(1.0, x))[0]
+    eta = 4.0 * gamma * max((a for a, _, _, _ in rows), default=0.0) + alpha
+    grow = up * math.exp(eta) * math.expm1(eta + 4.0 * gamma)
+    gs = [q * grow + alpha for _, q, _, _ in rows]
+
+    def log_weights(rho):
+        ks = [((rho * m * up * math.exp(y) if (y := rho * dp * up + eta) < 709
+                else math.inf) + g) * up ** 3
+              for (_, _, m, dp), g in zip(majorants(x + rho), gs)]
+        # the log and the column's exp round by under 746 u each
+        return [math.log(k) + 2.0 ** -42 if k < 1e300 else math.inf
+                for k in ks]
+    return 3.0 * up * sum(gs), log_weights
 
 
-_SWEEP0 = 256        # angles of the first sweep of a circle
-_MAX_DEPTH = 54      # bisections of one phase step, to 2^-54 of the step
-
-
-def _winding_pass(h: ExpPoly, radius: float, vals: list):
-    """One adaptive phase-continuation sweep; returns total phase / 2pi.
-
-    vals holds h's values at the angles 2pi k / n, k < n.  A step of more
-    than pi/2 in phase is bisected, each midpoint evaluated on its own.
-    The steps are added to one running total from the last to the first,
-    a bisected one depth first from its upper half.  A NaN step (a value
-    out of the floating range) raises EvalOverflowError at once:
-    bisecting it, or nudging the radius, would meet NaN again.
+def _circle_values(h: ExpPoly, radius: float, units, floor: float,
+                   log_weights) -> tuple:
+    """(vs, ok): h's scaled values v at the points radius * u, u in units,
+    in one call to eval_columns, and where its bound column for log_weights
+    is below |v|.  An infinite |v|, else a NaN one, or an infinite floor
+    raises EvalOverflowError (no nudged radius brings h into range); a |v|
+    at or below floor raises WindingError: a zero on or next to the circle.
     """
-    n = len(vals)
-    half_pi = 0.5 * math.pi
-    ds = list(map(cmath.phase, map(truediv, vals[1:] + vals[:1], vals)))
+    expos, terms = h.compiled()
+    (vs, _, bs), = eval_columns(expos, (terms,), [radius * u for u in units],
+                                (log_weights,))
+    sizes = list(map(abs, vs))
+    if not sum(sizes) < math.inf:       # an inf or a NaN, or a large sum
+        for what, hit in (("not finite on r={} at", math.isinf),
+                          ("not a number on r={} near", math.isnan)):
+            for u, a in zip(units, sizes):
+                if hit(a):
+                    raise EvalOverflowError(
+                        f"h is {what.format(radius)} theta="
+                        f"{cmath.phase(u) % math.tau}: a value out of the "
+                        f"floating range")
+    if not floor < math.inf:
+        raise EvalOverflowError(f"the bound of h's rounding leaves the "
+                                f"floating range on r={radius}")
+    if min(sizes, default=math.inf) <= floor:
+        first = next(u for u, a in zip(units, sizes) if a <= floor)
+        raise WindingError(f"near-zero on circle r={radius} at "
+                           f"theta={cmath.phase(first) % math.tau}")
+    return vs, [b < a for a, b in zip(sizes, bs)]
+
+
+def _winding_pass(h: ExpPoly, radius: float, floor: float, log_weights):
+    """The one sweep of the circle, certified arc by arc: total phase / 2pi.
+
+    Arc k runs from point k of _grid(_SWEEP0) to point k + 1; if the disc
+    about one end, of radius its length, holds no zero, its phase change is
+    phase(h(z_b) / h(z_a)).  A failed arc is bisected, its midpoint (the
+    start turned by half the angle, well inside _SLACK) certifying both
+    halves with the weights for half the length, or each half is bisected
+    in turn: one eval_columns call per depth.  As no |v| is below the
+    floor, each phase errs by under pi/6, and the errors cancel between
+    adjacent arcs.  Arcs uncertified after _MAX_DEPTH bisections, or more
+    than _MAX_ARCS at one depth (as next to a cluster of roots, where the
+    bound is far above |h'|), raise WindingError.
+    """
+    n = _SWEEP0
+    units = _grid(n)
+    vas, ok = _circle_values(h, radius, units, floor,
+                             log_weights(radius * (math.tau / n + _SLACK)))
+    vbs = vas[1:] + vas[:1]
+    ok = [a or b for a, b in zip(ok, ok[1:] + ok[:1])]
     total = 0.0
-    top = n
-    # a NaN step fails -half_pi <= d <= half_pi, as it fails abs(d) <= half_pi
-    for k in [k for k, d in enumerate(ds)
-              if not -half_pi <= d <= half_pi][::-1]:
-        total = reduce(add, reversed(ds[k + 1:top]), total)
-        top = k
-        stack = [(2.0 * math.pi * k / n, 2.0 * math.pi * (k + 1) / n,
-                  vals[k], vals[(k + 1) % n], 0)]
-        while stack:
-            a, b, va, vb, depth = stack.pop()
-            d = cmath.phase(vb / va)
-            if abs(d) <= half_pi:
-                total += d
-                continue
-            if d != d:
-                raise EvalOverflowError(
-                    f"h is not a number on r={radius} near theta={a}: "
-                    f"a value out of the floating range")
-            if depth >= _MAX_DEPTH:
-                raise WindingError(f"phase jump unresolved at r={radius}; "
-                                   f"zero on the circle?")
-            mth = 0.5 * (a + b)
-            vm, = _circle_values(h, radius, [mth])
-            stack.append((a, mth, va, vm, depth + 1))
-            stack.append((mth, b, vm, vb, depth + 1))
-    total = reduce(add, reversed(ds[:top]), total)
-    return total / (2.0 * math.pi)
+    for depth in range(_MAX_DEPTH + 1):
+        total += sum(map(cmath.phase, map(truediv, compress(vbs, ok),
+                                          compress(vas, ok))))
+        bad = [not good for good in ok]
+        if True not in bad:
+            return total / math.tau
+        if depth == _MAX_DEPTH or bad.count(True) > _MAX_ARCS:
+            raise WindingError(f"{bad.count(True)} arcs not certified on "
+                               f"r={radius} at depth {depth}; zero on the "
+                               f"circle?")
+        vas, vbs, units = (list(compress(xs, bad))
+                           for xs in (vas, vbs, units))
+        n *= 2
+        turn = complex(math.cos(math.tau / n), math.sin(math.tau / n))
+        mids = [u * turn for u in units]
+        vms, ok = _circle_values(h, radius, mids, floor,
+                                 log_weights(radius * (math.tau / n + _SLACK)))
+        # each failed arc splits into (a, m) and (m, b), in any order
+        vas, vbs, units, ok = vas + vms, vms + vbs, units + mids, ok + ok
 
 
 def winding_number(h: ExpPoly, radius: float) -> int:
-    """Zeros of h inside the circle, by verified phase continuation.
-
-    Two consecutive sweep resolutions must agree; a result further than 0.1
-    from an integer is an error.  The grid of angles 2pi k / n is swept
-    once from n = _SWEEP0: each doubling of n evaluates only the new
-    odd-index angles, the even ones recurring bit for bit.  The grids come
-    from _grid, whose unit points are computed once per process, so a
-    sweep forms each point as one product radius * u.  A value out of the
-    floating range raises EvalOverflowError, which zero_count does not
-    retry.
+    """Zeros of h inside |z| = radius, proved by the argument principle:
+    one sweep, every arc certified by a bound on |h'| that folds in the
+    rounding of the values (see _certificate).  A value out of the floating
+    range raises EvalOverflowError, which zero_count does not retry; a zero
+    on or next to the circle raises WindingError.
     """
-    prev = None
-    n = _SWEEP0
-    vals = None
-    while n <= (1 << 17):
-        try:
-            if vals is None:
-                vals = _circle_values(h, radius, _grid(n, False))
-            else:
-                both = [None] * n
-                both[::2] = vals
-                both[1::2] = _circle_values(h, radius, _grid(n, True))
-                vals = both
-            w = _winding_pass(h, radius, vals)
-        except OverflowError as exc:
-            raise EvalOverflowError(
-                f"h leaves the floating range on r={radius}: {exc}") from exc
-        k = round(w)
-        if abs(w - k) > 0.1:
-            raise WindingError(
-                f"winding {w:.4f} too far from an integer at r={radius}")
-        if prev is not None and prev == k:
-            return k
-        prev = k
-        n *= 2
-    raise WindingError(f"winding did not stabilize at r={radius}")
+    try:
+        return round(_winding_pass(h, radius, *_certificate(h, radius)))
+    except OverflowError as exc:
+        raise EvalOverflowError(
+            f"h leaves the floating range on r={radius}: {exc}") from exc
 
 
 _NUDGES = (0.0, 1e-7, -1e-7, 7e-7, -7e-7, 5e-6, -5e-6, 4e-5, -4e-5, 3e-4)

@@ -590,6 +590,14 @@ def _restrict_to_line(poly: MPoly, p1, p2, lift):
     return out
 
 
+def _check_tangent_cap(d: int):
+    """UnsupportedDegreeError for a total-tangent search past the cap."""
+    if d > MAX_TANGENT_DEGREE:
+        raise UnsupportedDegreeError(
+            f"total-tangent search unsupported at degree {d} "
+            f"(cap {MAX_TANGENT_DEGREE})")
+
+
 def total_tangent_lines(curve: PlaneCurve):
     """All lines meeting the curve in a single point (full multiplicity).
 
@@ -608,10 +616,7 @@ def total_tangent_lines(curve: PlaneCurve):
             "every tangent line of a conic is a total tangent: the lines "
             "form a one-parameter family (search supports degrees "
             f"3..{MAX_TANGENT_DEGREE})")
-    if d > MAX_TANGENT_DEGREE:
-        raise UnsupportedDegreeError(
-            f"total-tangent search unsupported at degree {d} "
-            f"(cap {MAX_TANGENT_DEGREE})")
+    _check_tangent_cap(d)
     lam = MPoly.monomial(2, (1, 0), CRat(1))
     mu = MPoly.monomial(2, (0, 1), CRat(1))
 
@@ -707,8 +712,8 @@ def quadric_line_exclusion(conf: Configuration) -> ExclusionReport:
 
     A violating line meets each non-quadric component in one point (total
     tangency) and meets the quadric exactly in those two contact points.
-    A component past MAX_TANGENT_DEGREE raises UnsupportedDegreeError from
-    total_tangent_lines.
+    A component past MAX_TANGENT_DEGREE raises UnsupportedDegreeError,
+    with total_tangent_lines' message, before any search runs.
     """
     quadrics = [i for i, c in enumerate(conf.curves) if c.degree == 2]
     if len(quadrics) != 1:
@@ -723,6 +728,8 @@ def quadric_line_exclusion(conf: Configuration) -> ExclusionReport:
     if len(line_curves) == 2:
         raise UnsupportedDegreeError(
             "two line components: the candidate family is not finite")
+    for c in heavy:
+        _check_tangent_cap(c.degree)
     tangent_sets = [total_tangent_lines(c) for c in heavy]
     # candidates: (line, its contact point with the other component)
     if len(heavy) == 2:

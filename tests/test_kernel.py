@@ -24,14 +24,13 @@ from hypothesis import strategies as st
 from curvecomp.expfun import (EvalOverflowError, ExpPoly, column_max,
                               eval_columns)
 from curvecomp.nevanlinna import (ProjCurve, WindingError, _X15,
-                                  _circle_values, _grid, _log_abs_on_circle,
-                                  characteristic, characteristic_scalar,
-                                  circle_log_mean)
+                                  _certificate, _circle_values, _grid,
+                                  _log_abs_on_circle, characteristic,
+                                  characteristic_scalar, circle_log_mean)
 from curvecomp.polys import Poly
 from curvecomp.scalars import CRat
 
-from conftest import (XI, XI2, count_evaluations, count_reference_columns,
-                      cr, exp_of, poly)
+from conftest import XI, XI2, count_evaluations, cr, exp_of, poly
 
 
 def ref_eval_scaled(f, z):
@@ -48,15 +47,15 @@ def ref_eval_scaled(f, z):
     return v, s
 
 
-def ref_eval_unit(f, z):
-    """(v, ref): the scaled value and the size it would have without
-    cancellation, sum_k |q_k(z)| exp(min(Re w_k - s, 0))."""
+def ref_eval_bound(f, z, ls):
+    """(v, b): the scaled value and the bound column's entry for the log
+    weights ls, sum_k exp(Re w_k - s + l_k) added in term order."""
     v, s = ref_eval_scaled(f, z)
-    ref = 0.0
-    for t in f.terms:
+    b = 0.0
+    for t, l in zip(f.terms, ls):
         w = t.expconst.to_complex() + t.expo.eval(z, complex)
-        ref += abs(t.coeff.eval(z, complex)) * math.exp(min(w.real - s, 0.0))
-    return v, ref
+        b += math.exp(w.real - s + l)
+    return v, b
 
 
 def ref_log_norm_sq(curve, z):
@@ -130,29 +129,45 @@ def grids(seed, count=16):
     return out
 
 
-def ref_circle_values(f, radius, thetas):
-    """(values, None): the values at thetas by ref_eval_unit; or, where
-    some |v| <= 1e-12 ref (the winding sweep's near-zero test), (error,
-    angle): EvalOverflowError and the first angle whose ref is infinite if
-    there is one, else WindingError and the first angle that failed."""
-    pairs = [ref_eval_unit(f, radius * complex(math.cos(t), math.sin(t)))
-             for t in thetas]
-    small = [t for t, (v, ref) in zip(thetas, pairs)
-             if abs(v) <= 1e-12 * max(ref, 1e-300)]
-    if not small:
-        return [v for v, _ in pairs], None
-    infinite = [t for t, (_, ref) in zip(thetas, pairs) if ref == math.inf]
-    if infinite:
-        return EvalOverflowError, infinite[0]
-    return WindingError, small[0]
+def units_of(thetas):
+    """The unit points of the angles, as _on_circle forms them."""
+    return [complex(math.cos(t), math.sin(t)) for t in thetas]
 
 
-def sweep_message(error, radius, theta):
-    """The message of _circle_values' error at the angle theta."""
-    if error is EvalOverflowError:
-        return (f"h is not finite on r={radius} at theta={theta}: "
+def ref_circle_values(f, radius, thetas, floor, ls):
+    """(values, ok) by ref_eval_bound, ok true where the bound is below
+    |v|; or (error, message) as the sweep raises it: EvalOverflowError at
+    the first infinite |v|, else at the first NaN one, else for an
+    infinite floor; WindingError at the first |v| at or below the floor.
+    A message names the angle of the point's unit point in [0, 2 pi)."""
+    pairs = [ref_eval_bound(f, radius * u, ls) for u in units_of(thetas)]
+    sizes = [abs(v) for v, _ in pairs]
+    thetas = [cmath.phase(u) % (2.0 * math.pi) for u in units_of(thetas)]
+    for t, a in zip(thetas, sizes):
+        if a == math.inf:
+            return EvalOverflowError, (
+                f"h is not finite on r={radius} at theta={t}: "
                 f"a value out of the floating range")
-    return f"near-zero on circle r={radius} at theta={theta}"
+    for t, a in zip(thetas, sizes):
+        if a != a:
+            return EvalOverflowError, (
+                f"h is not a number on r={radius} near theta={t}: "
+                f"a value out of the floating range")
+    if floor == math.inf:
+        return EvalOverflowError, (f"the bound of h's rounding leaves the "
+                                   f"floating range on r={radius}")
+    for t, a in zip(thetas, sizes):
+        if a <= floor:
+            return WindingError, (f"near-zero on circle r={radius} "
+                                  f"at theta={t}")
+    return [v for v, _ in pairs], [b < a for (_, b), a in zip(pairs, sizes)]
+
+
+def certificate(f, radius):
+    """f's floor on |z| = radius and its log weights for the discs of the
+    first arcs of a sweep."""
+    floor, log_weights = _certificate(f, radius)
+    return floor, log_weights(radius * 2.0 * math.pi / 64)
 
 
 ONE = ExpPoly.constant(1)
@@ -257,10 +272,11 @@ def test_kernel_batches_match_reference(name):
         want = [ref_eval_scaled(f, z) for z in zs]
         (vs, ss), = eval_columns(expos, (terms,), zs)
         assert_identical(tuple(zip(vs, ss)), tuple(want))
-        (vs, ss, refs), = eval_columns(expos, (terms,), zs, refs=True)
+        ls = [0.5 * k - 1.0 for k in range(len(terms))]
+        (vs, ss, bs), = eval_columns(expos, (terms,), zs, (ls,))
         assert_identical(tuple(zip(vs, ss)), tuple(want))
-        assert_identical(tuple(refs),
-                         tuple(ref_eval_unit(f, z)[1] for z in zs))
+        assert_identical(tuple(bs),
+                         tuple(ref_eval_bound(f, z, ls)[1] for z in zs))
 
 
 @pytest.mark.parametrize("name", ["zero", "one", "poly_part", "tagged",
@@ -269,7 +285,8 @@ def test_kernel_empty_batch_of_constant_exponents(name):
     expos, terms = FUNCTIONS[name].compiled()
     assert all(rest is None for _, rest, _ in expos)
     assert eval_columns(expos, (terms,), []) == [([], [])]
-    assert eval_columns(expos, (terms,), [], refs=True) == [([], [], [])]
+    assert eval_columns(expos, (terms,), [], ([0.0] * len(terms),)) == [
+        ([], [], [])]
 
 
 # NaN, signed zeros, infinities and few enough values for ties
@@ -319,114 +336,101 @@ def test_eval_scaled_matches_reference(name):
 
 @pytest.mark.parametrize("name", sorted(FUNCTIONS))
 def test_eval_unit_matches_reference(name):
-    """The batched circle sweep, angle by angle against ref_eval_unit."""
+    """The batched circle sweep, angle by angle against ref_eval_bound."""
     f = FUNCTIONS[name]
     for radius, thetas in grids(seed=100 + len(name)):
-        # the sweep takes |v| at every angle before its near-zero test
-        if reference(lambda t: abs(ref_eval_unit(
-                f, radius * complex(math.cos(t), math.sin(t)))[0]),
-                thetas) is OverflowError:
-            with pytest.raises(OverflowError):
-                _circle_values(f, radius, thetas)
-            continue
-        want, bad = ref_circle_values(f, radius, thetas)
-        if bad is None:
-            assert_identical(tuple(_circle_values(f, radius, thetas)),
-                             tuple(want))
-        else:
-            with pytest.raises(want) as exc:
-                _circle_values(f, radius, thetas)
-            assert str(exc.value) == sweep_message(want, radius, bad)
+        assert (sweep_outcome(f, radius, units_of(thetas))
+                == ref_outcome(f, radius, thetas))
 
 
-def sweep_outcome(f, radius, thetas):
-    """_circle_values' values as float bits, or its error and message."""
+def sweep_outcome(f, radius, units):
+    """_circle_values' values and flags as float bits, or its error and
+    message."""
     try:
-        return bits(tuple(_circle_values(f, radius, thetas)))
+        vs, ok = _circle_values(f, radius, units, *certificate(f, radius))
     except (ArithmeticError, WindingError) as exc:
         return type(exc), str(exc)
-
-
-@pytest.mark.parametrize("name", sorted(FUNCTIONS))
-def test_grid_sweep_matches_angle_list(name):
-    """A sweep on a grid of winding_number, whose points are radius times
-    the grid's unit points, is a sweep on the same angles given as a list."""
-    f = FUNCTIONS[name]
-    for n, ks in ((256, range(256)), (512, range(1, 512, 2)),
-                  (1024, range(1, 1024, 2))):
-        thetas = [2.0 * math.pi * k / n for k in ks]
-        grid = _grid(n, len(ks) < n)
-        assert_identical(tuple(grid), tuple(thetas))
-        assert_identical(tuple(grid.units), tuple(
-            complex(math.cos(t), math.sin(t)) for t in thetas))
-        for radius in (0.5, 2.5, 40.0):
-            assert (sweep_outcome(f, radius, grid)
-                    == sweep_outcome(f, radius, thetas))
+    return bits(tuple(vs)), ok
 
 
 def ref_outcome(f, radius, thetas):
     """ref_circle_values in the form of sweep_outcome."""
     try:
-        want, bad = ref_circle_values(f, radius, thetas)
+        want, ok = ref_circle_values(f, radius, thetas,
+                                     *certificate(f, radius))
     except OverflowError as exc:
         return OverflowError, str(exc)
-    if bad is None:
-        return bits(tuple(want))
-    return want, sweep_message(want, radius, bad)
+    if isinstance(want, list):
+        return bits(tuple(want)), ok
+    return want, ok
 
 
-GRID = _grid(256, False)
+@pytest.mark.parametrize("name", sorted(FUNCTIONS))
+def test_grid_sweep_matches_angle_list(name):
+    """The sweep grid holds the unit points of the angles 2 pi k / n, and
+    a sweep on it is the reference's at those angles."""
+    f = FUNCTIONS[name]
+    for n in (64, 256):
+        thetas = angles(n)
+        assert_identical(_grid(n), tuple(units_of(thetas)))
+        for radius in (0.5, 2.5, 40.0):
+            assert (sweep_outcome(f, radius, _grid(n))
+                    == ref_outcome(f, radius, thetas))
+
+
+def angles(n):
+    """The angles 2 pi k / n, k < n, of a sweep grid."""
+    return [2.0 * math.pi * k / n for k in range(n)]
+
+
+GRID = angles(256)
 QUARTER = 0.5 * math.pi
 Z100_MINUS_ONE = ExpPoly.from_poly(poly(-1, *[0] * 99, 1))
 Z200_MINUS_ONE = ExpPoly.from_poly(poly(-1, *[0] * 199, 1))
-# (h, radius, angles, outcome, reference columns built).  The outcome is
-# "values" or the error _circle_values raises; a bound that decides the
-# near-zero test builds no reference column, one that cannot builds one.
+# (h, radius, angles, outcome): "values", or the error _circle_values
+# raises
 SWEEPS = {
-    # (A) constant coefficients: e^z - 1 vanishes at 2 pi i, the angle
-    # pi/2 of the circle of radius 2 pi, where the two terms cancel
+    # constant coefficients: e^z - 1 vanishes at 2 pi i, the angle pi/2 of
+    # the circle of radius 2 pi, where the two terms cancel
     "exp_cancels": (E_XI - ONE, 2.0 * math.pi,
-                    [QUARTER - 1e-3, QUARTER, QUARTER + 1e-3], WindingError,
-                    1),
-    "exp_cancels_grid": (E_XI - ONE, 2.0 * math.pi, GRID, WindingError, 1),
+                    [QUARTER - 1e-3, QUARTER, QUARTER + 1e-3], WindingError),
+    "exp_cancels_grid": (E_XI - ONE, 2.0 * math.pi, GRID, WindingError),
     "exp_off_zero": (E_XI - ONE, 2.0 * math.pi,
-                     [QUARTER - 1e-3, QUARTER + 1e-3], "values", 0),
-    "exp_z2": (E_XI2 - ONE, 4.0, GRID, "values", 0),
+                     [QUARTER - 1e-3, QUARTER + 1e-3], "values"),
+    "exp_z2": (E_XI2 - ONE, 4.0, GRID, "values"),
     "const_sum": (E_XI2 + E_XI.scale(3) - ONE.scale(cr(HALF, 2)), 6.0, GRID,
-                  "values", 0),
-    # (B) one term with a real constant exponent: a subnormal |v| is small
-    # exactly where it is at or below 1e-12 * 1e-300
+                  "values"),
+    # a value whose rounding loses to underflow is not told from a zero;
+    # a tiny one in the normal range is
     "subnormal_small": (ExpPoly.from_poly(poly(0, TINY)), 0.001, GRID,
-                        WindingError, 1),
-    "subnormal_above_floor": (ExpPoly.from_poly(poly(0, TINY)), 0.011,
-                              GRID, "values", 0),
-    "subnormal": (SUBNORMAL, 1.0, GRID, "values", 0),
+                        WindingError),
+    "tiny_above_floor": (ExpPoly.from_poly(poly(0, Fraction(1, 10 ** 300))),
+                         0.011, GRID, "values"),
+    "subnormal": (SUBNORMAL, 1.0, GRID, WindingError),
     "cubic": (ExpPoly.from_poly(poly(cr(HALF, -1), 0, cr(0, 3), 1)), 1.8,
-              GRID, "values", 0),
-    # values out of the floating range take the reference's way
-    "z100_infinite": (Z100_MINUS_ONE, 1220.0, GRID, EvalOverflowError, 1),
-    "z200_nan": (Z200_MINUS_ONE, 1000.0, GRID, "values", 1),
-    # neither rule applies
-    "imag_exponent": (IMAG_EXPONENT, 0.5, [0.0, 1.0], WindingError, 1),
-    "imag_exponent_off": (IMAG_EXPONENT, 0.5, [1.0], "values", 1),
+              GRID, "values"),
+    # values out of the floating range
+    "z100_infinite": (Z100_MINUS_ONE, 1220.0, GRID, EvalOverflowError),
+    "z200_nan": (Z200_MINUS_ONE, 1000.0, GRID, EvalOverflowError),
+    # a constant exponent that is not real, and a polynomial coefficient in
+    # a sum
+    "imag_exponent": (IMAG_EXPONENT, 0.5, [0.0, 1.0], WindingError),
+    "imag_exponent_off": (IMAG_EXPONENT, 0.5, [1.0], "values"),
     "z_exp_minus_one": (Z_EXP_MINUS_ONE, 0.5671432904097838, [0.0, 1.0],
-                        WindingError, 1),
-    "z_exp_off": (Z_EXP_MINUS_ONE, 2.0, GRID, "values", 1),
+                        WindingError),
+    "z_exp_off": (Z_EXP_MINUS_ONE, 2.0, GRID, "values"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(SWEEPS))
-def test_sweep_bound_decides_as_the_reference(monkeypatch, name):
-    """Where a bound decides the near-zero test no reference column is
-    built; either way the values, or the error and its message, are the
-    reference's."""
-    f, radius, thetas, outcome, columns = SWEEPS[name]
+def test_sweep_bound_decides_as_the_reference(name):
+    """The values and the certified flags of the bound column, or the
+    error and its message, are the one-point reference's."""
+    f, radius, thetas, outcome = SWEEPS[name]
     want = ref_outcome(f, radius, thetas)
     assert (want[0] if want[0] in (WindingError, EvalOverflowError)
             else "values") == outcome
-    calls = count_reference_columns(monkeypatch)
-    assert sweep_outcome(f, radius, thetas) == want
-    assert calls[0] == columns
+    assert sweep_outcome(f, radius, units_of(thetas)) == want
 
 
 _small_ints = st.integers(-9, 9)
@@ -456,9 +460,9 @@ def constant_coefficient_sums(draw):
 
 
 def assert_sweeps_match_reference(f, radius, theta):
-    for thetas in (_grid(256, False), _grid(512, True), [theta]):
-        assert sweep_outcome(f, radius, thetas) == ref_outcome(f, radius,
-                                                              thetas)
+    for thetas in (angles(64), angles(256), [theta]):
+        assert (sweep_outcome(f, radius, units_of(thetas))
+                == ref_outcome(f, radius, thetas))
 
 
 @settings(max_examples=100, deadline=None)
@@ -471,19 +475,6 @@ def test_polynomial_sweeps_match_reference(f, radius, theta):
 @given(constant_coefficient_sums(), _radius, st.floats(0.0, 2 * math.pi))
 def test_constant_coefficient_sweeps_match_reference(f, radius, theta):
     assert_sweeps_match_reference(f, radius, theta)
-
-
-def test_near_zero_names_first_failing_angle():
-    # e^z + 1 vanishes at z = +-i pi, the angles pi/2 and 3pi/2 of the
-    # circle of radius pi, both on the 8-point grid; the two terms cancel
-    h = E_XI + ONE
-    thetas = [2.0 * math.pi * k / 8 for k in range(8)]
-    for first, sweep in ((thetas[2], thetas), (thetas[6], thetas[3:])):
-        assert ref_circle_values(h, math.pi, sweep) == (WindingError, first)
-        with pytest.raises(WindingError) as exc:
-            _circle_values(h, math.pi, sweep)
-        assert str(exc.value) == (
-            f"near-zero on circle r={math.pi} at theta={first}")
 
 
 @pytest.mark.parametrize("name", sorted(CURVES))
@@ -499,13 +490,14 @@ def test_cases_are_exercised():
     assert NODE_ZERO.eval_scaled(NODE_Z) == (0j, 0.0)
     assert CURVES["node_zero_only"].log_norm_sq(NODE_Z) == float("-inf")
     assert math.isfinite(CURVES["node_zero"].log_norm_sq(NODE_Z))
-    assert ref_eval_unit(ZERO, 2.0) == (0j, 0.0)
+    assert ref_eval_bound(ZERO, 2.0, []) == (0j, 0.0)
     with pytest.raises(WindingError, match=r"at theta=0\.5$"):
-        _circle_values(ZERO, 2.0, [0.5, 1.0])
+        _circle_values(ZERO, 2.0, units_of([0.5, 1.0]),
+                       *certificate(ZERO, 2.0))
     assert all(t.expo.is_zero() for t in TAGGED.terms + POLY_PART.terms)
     v, s = UNDERFLOW.eval_scaled(40.0)
     assert s == 1600.0 and v == 1.0
-    assert ref_eval_unit(UNDERFLOW, 40.0)[1] == 1.0
+    assert ref_eval_bound(UNDERFLOW, 40.0, [0.0, 0.0])[1] == 1.0
     v, s = UNDERFLOW_CONST.eval_scaled(40.0)
     assert s == 1600.0 and v == 1.0
     assert Z800.eval_scaled(0.3) == (0j, 0.0)
@@ -516,13 +508,14 @@ def test_cases_are_exercised():
                for z in (0j, 1 + 0j, -1j))
     assert math.isnan(CURVES["overflow"].log_norm_sq(0j))
     with pytest.raises(EvalOverflowError, match=r"r=1\.0 at theta=0\.0:"):
-        _circle_values(OVERFLOW, 1.0, [0.0, 1.0])
+        _circle_values(OVERFLOW, 1.0, units_of([0.0, 1.0]),
+                       *certificate(OVERFLOW, 1.0))
     for f, exponents in ((CONST_EXPONENTS, 2), (DEEP_CONST, 2)):
         expos, _ = f.compiled()
         assert len(expos) == exponents
         assert all(rest is None for _, rest, _ in expos)
     assert DEEP_CONST.eval_scaled(2.0) == (1 + 0j, 0.0)
-    assert ref_eval_unit(DEEP_CONST, 2.0) == (1 + 0j, 1.0)
+    assert ref_eval_bound(DEEP_CONST, 2.0, [0.0, 0.0]) == (1 + 0j, 1.0)
 
 
 def test_curve_lists_each_exponent_once():
@@ -550,6 +543,31 @@ def test_import_leaves_numpy_out():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+# what a fresh import of curvecomp.nevanlinna loads, curvecomp included
+NEVANLINNA_IMPORTS = {
+    "__future__", "_decimal", "_heapq", "cmath", "curvecomp",
+    "curvecomp.expfun", "curvecomp.nevanlinna", "curvecomp.polys",
+    "curvecomp.scalars", "decimal", "fractions", "heapq", "numbers"}
+
+
+def test_import_builds_nothing():
+    # every CLI child and each benchmark set-up imports the module afresh:
+    # the sweep grid is built on first use, and no module is added
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = ("import sys; before = set(sys.modules); "
+            "import curvecomp.nevanlinna as nev; "
+            "print(nev._grid.cache_info().currsize); "
+            "print(*sorted(set(sys.modules) - before))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    size, added = out.stdout.splitlines()
+    assert size == "0"
+    assert set(added.split()) == NEVANLINNA_IMPORTS
 
 
 ORDER2 = CURVES["order2"]

@@ -6,11 +6,14 @@ from pathlib import Path
 
 import mpmath as mp
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from curvecomp import nevanlinna
 from curvecomp.expfun import EvalOverflowError, ExpPoly
 from curvecomp.nevanlinna import (DegenerateCurveError, GeneralPositionError,
                                   HomDivisor, ProjCurve, QuadratureError,
+                                  WindingError,
                                   characteristic, characteristic_scalar,
                                   counting, counting_entire, fit_linear,
                                   fmt_check,
@@ -22,8 +25,7 @@ from curvecomp.nevanlinna import (DegenerateCurveError, GeneralPositionError,
 from curvecomp.polys import Poly
 from curvecomp.scalars import CRat
 
-from conftest import (XI, XI2, count_evaluations, count_reference_columns,
-                      cr, exp_of, poly)
+from conftest import XI, XI2, count_evaluations, cr, exp_of, poly
 
 
 def curve(*components):
@@ -133,13 +135,13 @@ class TestCharacteristic:
 
 
 def count_circle_values(monkeypatch):
-    """(radius, number of angles) of every _circle_values call, in order."""
+    """(radius, number of points) of every _circle_values call, in order."""
     calls = []
     inner = nevanlinna._circle_values
 
-    def counted(h, radius, thetas):
-        calls.append((radius, len(thetas)))
-        return inner(h, radius, thetas)
+    def counted(h, radius, units, *certificate):
+        calls.append((radius, len(units)))
+        return inner(h, radius, units, *certificate)
 
     monkeypatch.setattr(nevanlinna, "_circle_values", counted)
     return calls
@@ -166,17 +168,68 @@ class TestWinding:
         h = E_XI - ONE
         assert zero_count(h, 2 * math.pi) in (1, 3)
 
+    def test_zeros_on_the_circle_nudged_to_either_side(self):
+        # e^z + 1 vanishes at +-i pi, both on |z| = pi: no arc next to them
+        # is certified there, and the nudged radii count 0 or 2
+        h = E_XI + ONE
+        with pytest.raises(WindingError):
+            winding_number(h, math.pi)
+        assert zero_count(h, math.pi) in (0, 2)
+
+    def test_exact_zero_is_a_winding_error(self):
+        # z - 1 is exactly 0 at the sweep point 1: no division by it
+        h = ExpPoly.from_poly(poly(-1, 1))
+        with pytest.raises(WindingError, match="near-zero on circle r=1.0 "
+                                               "at theta=0.0"):
+            winding_number(h, 1.0)
+        assert zero_count(h, 1.0) in (0, 1)
+
+    def test_certificate_decides_the_count(self):
+        # the 65 zeros of z^65 - 1/2 lie on |z| = 0.989...: on |z| = 1 the
+        # 64 sweep points alias them, and the phase steps alone read 1; the
+        # arcs the bound cannot certify are bisected until it can
+        h = ExpPoly.from_poly(poly(-H, *[0] * 64, 1))
+        assert winding_number(h, 1.0) == 65
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.integers(-12, 12), st.integers(-12, 12)),
+                    min_size=1, max_size=4),
+           st.sampled_from([0.5, 1.0, 1.8, 2.5]))
+    def test_planted_polynomial_counts(self, lattice, r):
+        # roots (a + bi) / 4, each at least r / 10 off the circle
+        roots = [complex(a, b) / 4 for a, b in lattice]
+        assume(all(abs(abs(z) - r) >= 0.1 * r for z in roots))
+        h = planted(*(cr(Fraction(z.real), Fraction(z.imag)) for z in roots))
+        assert winding_number(h, r) == sum(abs(z) < r for z in roots)
+
+    def test_arc_uncertified_at_the_depth_cap(self, monkeypatch):
+        # e^z - 1 on |z| = 40 needs arcs three bisections below the sweep's
+        monkeypatch.setattr(nevanlinna, "_MAX_DEPTH", 2)
+        with pytest.raises(WindingError,
+                           match="arcs not certified on r=40.0 at depth 2"):
+            winding_number(E_XI - ONE, 40.0)
+        monkeypatch.setattr(nevanlinna, "_MAX_DEPTH", 3)
+        assert winding_number(E_XI - ONE, 40.0) == 13
+
+    def test_clustered_roots_fail_loudly(self):
+        # a fivefold root 11% inside the circle: the bound of |h'| holds on
+        # the whole disc, so next to the root it certifies only arcs under
+        # 1e-6 long; the count is refused rather than guessed
+        a = cr(-1, Fraction(5, 4))
+        with pytest.raises(WindingError, match="arcs not certified on r=1.8"):
+            winding_number(planted(a, a, a, a, a), 1.8)
+
     def test_nan_step_fails_at_once(self, monkeypatch):
         # z^200 - 1 is NaN on |z| = 1000: one sweep, with no bisection of a
-        # NaN step to depth 54 and no nudged radius (550 calls before)
+        # NaN arc to depth 54 and no nudged radius (550 calls once)
         sweeps = count_circle_values(monkeypatch)
         with pytest.raises(EvalOverflowError, match="r=1000.0 near theta="):
             zero_count(Z200_MINUS_ONE, 1000.0)
-        assert sweeps == [(1000.0, 256)]
+        assert sweeps == [(1000.0, 64)]
         sweeps.clear()
         with pytest.raises(EvalOverflowError):
             counting_entire(Z200_MINUS_ONE, 1000.0)
-        assert [s for s in sweeps if s[0] > 2.0] == [(1000.0, 256)]
+        assert [s for s in sweeps if s[0] > 2.0] == [(1000.0, 64)]
 
     def test_overflow_in_sweep_is_not_retried(self, monkeypatch):
         # on |z| = 1211 the parts of z^100 are finite where its modulus is
@@ -186,19 +239,19 @@ class TestWinding:
             sweeps.clear()
             with pytest.raises(EvalOverflowError, match="r=1211.0"):
                 count(Z100_MINUS_ONE, 1211.0)
-            assert [s for s in sweeps if s[0] > 2.0] == [(1211.0, 256)]
+            assert [s for s in sweeps if s[0] > 2.0] == [(1211.0, 64)]
 
     def test_infinite_value_is_not_a_zero_on_the_circle(self, monkeypatch):
-        # on |z| = 1220 z^100 leaves the double range in its parts, and
-        # inf <= 1e-12 * inf would pass the near-zero test: every nudged
-        # radius failed (3,317 sweeps) before WindingError was raised
+        # on |z| = 1220 z^100 leaves the double range in its parts; taken
+        # for a zero on the circle, every nudged radius failed (3,317
+        # sweeps) before WindingError was raised
         sweeps = count_circle_values(monkeypatch)
         for count in (zero_count, counting_entire):
             sweeps.clear()
             with pytest.raises(EvalOverflowError,
                                match="not finite on r=1220.0 at theta="):
                 count(Z100_MINUS_ONE, 1220.0)
-            assert [s for s in sweeps if s[0] > 2.0] == [(1220.0, 256)]
+            assert [s for s in sweeps if s[0] > 2.0] == [(1220.0, 64)]
 
 
 class TestCounting:
@@ -242,9 +295,11 @@ class TestCounting:
         n = counting_entire(E_XI - ONE, 10.0)
         # the integer counts, hence N, are those of independent sweeps on
         # every rung, which evaluate h 18,436 times on this ladder (12,290
-        # with the sweeps of one circle sharing their grid points)
+        # with the sweeps of one circle sharing their grid points, 7,684
+        # with two resolutions per circle); one certified sweep per circle
+        # takes 1,612
         assert n.hex() == "0x1.9daf20080c499p+1"
-        assert sum(k for _, k in calls) <= 7684
+        assert sum(k for _, k in calls) == 1612
 
     def test_monotone(self):
         f = curve(ONE, E_XI)
@@ -263,6 +318,17 @@ def planted(*roots):
     for a in roots:
         p = p * Poly([-a, CRat(1)])
     return ExpPoly.from_poly(p)
+
+
+def count_calls(monkeypatch, *names):
+    """{name: number of calls} of the nevanlinna functions names."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, name=name, inner=getattr(nevanlinna, name)):
+            calls[name] += 1
+            return inner(*args)
+        monkeypatch.setattr(nevanlinna, name, counted)
+    return calls
 
 
 def count_zero_counts(monkeypatch):
@@ -337,24 +403,46 @@ class TestCountingPins:
         assert ts.count(1.0) == 1
 
     @pytest.mark.parametrize("name", sorted(COUNTING_PINS) + ["fmt"])
-    def test_sweeps_build_no_reference_column(self, monkeypatch, name):
-        # h has constant coefficients or is a polynomial: a bound decides
-        # every near-zero test of every sweep and bisection midpoint
-        calls = count_reference_columns(monkeypatch)
+    def test_one_pass_per_winding_call(self, monkeypatch, name):
+        # each count is certified by the one sweep of its circle: no second
+        # resolution (2,826 passes for 1,413 calls on a counting pass once)
+        calls = count_calls(monkeypatch, "winding_number", "_winding_pass")
         if name == "fmt":
             fmt_check(curve(ONE, E_XI), hyper(-3, 1), [1.5, 2.0, 3.0])
         else:
             h, r, _, _ = COUNTING_PINS[name]
             counting_entire(h, r)
-        assert calls[0] == 0
+        assert calls["winding_number"] > 0
+        assert calls["_winding_pass"] == calls["winding_number"]
 
-    def test_polynomial_coefficient_in_a_sum_builds_references(
-            self, monkeypatch):
-        # z e^z - 1: no bound applies, so the sweeps build the references
-        calls = count_reference_columns(monkeypatch)
+    @pytest.mark.parametrize("name", sorted(COUNTING_PINS) + ["fmt"])
+    def test_sweeps_build_no_reference_column(self, monkeypatch, name):
+        # each sweep or batch of midpoints is one eval_columns call, whose
+        # bound column comes with the values: h is evaluated once per point
+        calls = count_calls(monkeypatch, "_circle_values")
+        weighted = []
+        inner = nevanlinna.eval_columns
+
+        def counted(expos, comps, zs, weights=None):
+            weighted.append(weights is not None)
+            return inner(expos, comps, zs, weights)
+        monkeypatch.setattr(nevanlinna, "eval_columns", counted)
+        if name == "fmt":
+            fmt_check(curve(ONE, E_XI), hyper(-3, 1), [1.5, 2.0, 3.0])
+        else:
+            h, r, _, _ = COUNTING_PINS[name]
+            counting_entire(h, r)
+            assert all(weighted)
+        assert weighted.count(True) == calls["_circle_values"] > 0
+
+    def test_polynomial_coefficient_in_a_sum_is_certified(self, monkeypatch):
+        # z e^z - 1: the derivative bound takes q' + q P' = 1 + z for the
+        # first term; its one zero, W(1) = 0.567..., lies inside |z| = 2
+        calls = count_calls(monkeypatch, "winding_number", "_winding_pass")
         h = ExpPoly([(XI, XI)]) - ONE
         assert zero_count(h, 2.0) == 1
-        assert calls[0] >= 1
+        assert zero_count(h, 0.5) == 0
+        assert calls == {"winding_number": 2, "_winding_pass": 2}
 
     def test_ladder_ends_first(self, monkeypatch):
         # every root inside the unit circle: n(R0) = n(r) fills the ladder

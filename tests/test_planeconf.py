@@ -449,6 +449,21 @@ class TestTotalTangents:
                            match="degree 5 \\(cap 4\\)"):
             quadric_line_exclusion(conf)
 
+    def test_degree_cap_checked_before_any_search(self, monkeypatch):
+        # a cubic listed before a quintic: the cubic's whole search once
+        # ran before the quintic was refused
+        from curvecomp import planeconf
+        quintic = curve([((5, 0, 0), 1), ((0, 5, 0), 1), ((0, 0, 5), 1)])
+        conic = curve([((1, 0, 1), 1), ((0, 2, 0), -1)])
+        searches = []
+        monkeypatch.setattr(planeconf, "total_tangent_lines",
+                            lambda c: searches.append(c) or [])
+        with pytest.raises(UnsupportedDegreeError) as exc:
+            quadric_line_exclusion(Configuration([conic, C1, quintic]))
+        assert str(exc.value) == ("total-tangent search unsupported at "
+                                  "degree 5 (cap 4)")
+        assert searches == []
+
     def test_conic_refused_as_a_family(self):
         # every tangent of a smooth conic is total, so there is no finite
         # answer; the refusal must say so instead of blaming the solver
