@@ -160,12 +160,8 @@ class HomDivisor(Frozen):
     @classmethod
     def hyperplane(cls, coeffs) -> "HomDivisor":
         n = len(coeffs)
-        items = []
-        for j, c in enumerate(coeffs):
-            e = [0] * n
-            e[j] = 1
-            items.append((tuple(e), c))
-        return cls(MPoly(n, items))
+        return cls(MPoly(n, [(tuple(int(i == j) for i in range(n)), c)
+                             for j, c in enumerate(coeffs)]))
 
     def normal(self):
         """Coefficient vector for a degree-1 divisor."""
@@ -571,9 +567,10 @@ def _certificate(h: ExpPoly, radius: float):
     + alpha, with gamma = gamma_n (Higham), n = 8 (D + T + 4) for degree D
     and T terms; eta = 4 gamma max |w_k| + alpha the error of Re w_k - s;
     alpha = 2^-1020 n sum_{j<=D} max(1, R)^j the losses to underflow.  The
-    log_weights(rho) hold rho M_k e^{rho L_k + eta} + G_k, rounded up:
+    log_weights(rho) hold rho M_k e^{rho L_k + eta} + 3 G_k, rounded up:
     where their eval_columns column is below |v|, no zero is within rho.
-    floor = 3 (1 + gamma) sum_k G_k is thrice the error of any v.
+    For rho = 0 the column is thrice the error of v at its point, and
+    floor, the sum of those weights, bounds it anywhere.
     """
     expos, terms = h.compiled()
     # moduli, top degree first: (P, |c|) per exponent, (q, index) per term
@@ -600,25 +597,28 @@ def _certificate(h: ExpPoly, radius: float):
 
     def log_weights(rho):
         ks = [((rho * m * up * math.exp(y) if (y := rho * dp * up + eta) < 709
-                else math.inf) + g) * up ** 3
-              for (_, _, m, dp), g in zip(majorants(x + rho), gs)]
+                else math.inf) + 3.0 * g) * up ** 3
+              for (_, _, m, dp), g in zip(majorants(x + rho) if rho else rows,
+                                          gs)]
         # the log and the column's exp round by under 746 u each
         return [math.log(k) + 2.0 ** -42 if k < 1e300 else math.inf
                 for k in ks]
-    return 3.0 * up * sum(gs), log_weights
+    return up * sum(map(math.exp, log_weights(0.0))), log_weights
 
 
 def _circle_values(h: ExpPoly, radius: float, units, floor: float,
-                   log_weights) -> tuple:
+                   log_weights, rho: float) -> tuple:
     """(vs, ok): h's scaled values v at the points radius * u, u in units,
-    in one call to eval_columns, and where its bound column for log_weights
-    is below |v|.  An infinite |v|, else a NaN one, or an infinite floor
-    raises EvalOverflowError (no nudged radius brings h into range); a |v|
-    at or below floor raises WindingError: a zero on or next to the circle.
+    in one call to eval_columns, and where its bound column for
+    log_weights(rho) is below |v|.  An infinite |v|, else a NaN one, or an
+    infinite floor raises EvalOverflowError (no nudged radius brings h into
+    range).  A |v| at or below its column for log_weights(0), thrice its
+    rounding bound, raises WindingError: a zero on or next to the circle;
+    that column is built only where |v| is at or below floor.
     """
     expos, terms = h.compiled()
     (vs, _, bs), = eval_columns(expos, (terms,), [radius * u for u in units],
-                                (log_weights,))
+                                (log_weights(rho),))
     sizes = list(map(abs, vs))
     if not sum(sizes) < math.inf:       # an inf or a NaN, or a large sum
         for what, hit in (("not finite on r={} at", math.isinf),
@@ -633,9 +633,13 @@ def _circle_values(h: ExpPoly, radius: float, units, floor: float,
         raise EvalOverflowError(f"the bound of h's rounding leaves the "
                                 f"floating range on r={radius}")
     if min(sizes, default=math.inf) <= floor:
-        first = next(u for u, a in zip(units, sizes) if a <= floor)
-        raise WindingError(f"near-zero on circle r={radius} at "
-                           f"theta={cmath.phase(first) % math.tau}")
+        low = [u for u, a in zip(units, sizes) if a <= floor]
+        (lv, _, es), = eval_columns(expos, (terms,), [radius * u for u in low],
+                                    (log_weights(0.0),))
+        for u, v, e in zip(low, lv, es):
+            if abs(v) <= e:
+                raise WindingError(f"near-zero on circle r={radius} at "
+                                   f"theta={cmath.phase(u) % math.tau}")
     return vs, [b < a for a, b in zip(sizes, bs)]
 
 
@@ -647,16 +651,17 @@ def _winding_pass(h: ExpPoly, radius: float, floor: float, log_weights):
     phase(h(z_b) / h(z_a)).  A failed arc is bisected, its midpoint (the
     start turned by half the angle, well inside _SLACK) certifying both
     halves with the weights for half the length, or each half is bisected
-    in turn: one eval_columns call per depth.  As no |v| is below the
-    floor, each phase errs by under pi/6, and the errors cancel between
-    adjacent arcs.  Arcs uncertified after _MAX_DEPTH bisections, or more
-    than _MAX_ARCS at one depth (as next to a cluster of roots, where the
-    bound is far above |h'|), raise WindingError.
+    in turn: one eval_columns call per depth.  As every |v| is above
+    thrice its rounding bound, each phase errs by under pi/6, and these
+    errors cancel between adjacent arcs.  Arcs uncertified after
+    _MAX_DEPTH bisections, or more than _MAX_ARCS at one depth (where |h|
+    is small along a stretch of the circle, as for a polynomial factor of
+    high degree, the bound is far above |h'|), raise WindingError.
     """
     n = _SWEEP0
     units = _grid(n)
-    vas, ok = _circle_values(h, radius, units, floor,
-                             log_weights(radius * (math.tau / n + _SLACK)))
+    vas, ok = _circle_values(h, radius, units, floor, log_weights,
+                             radius * (math.tau / n + _SLACK))
     vbs = vas[1:] + vas[:1]
     ok = [a or b for a, b in zip(ok, ok[1:] + ok[:1])]
     total = 0.0
@@ -675,8 +680,8 @@ def _winding_pass(h: ExpPoly, radius: float, floor: float, log_weights):
         n *= 2
         turn = complex(math.cos(math.tau / n), math.sin(math.tau / n))
         mids = [u * turn for u in units]
-        vms, ok = _circle_values(h, radius, mids, floor,
-                                 log_weights(radius * (math.tau / n + _SLACK)))
+        vms, ok = _circle_values(h, radius, mids, floor, log_weights,
+                                 radius * (math.tau / n + _SLACK))
         # each failed arc splits into (a, m) and (m, b), in any order
         vas, vbs, units, ok = vas + vms, vms + vbs, units + mids, ok + ok
 

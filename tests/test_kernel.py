@@ -134,15 +134,17 @@ def units_of(thetas):
     return [complex(math.cos(t), math.sin(t)) for t in thetas]
 
 
-def ref_circle_values(f, radius, thetas, floor, ls):
-    """(values, ok) by ref_eval_bound, ok true where the bound is below
-    |v|; or (error, message) as the sweep raises it: EvalOverflowError at
-    the first infinite |v|, else at the first NaN one, else for an
-    infinite floor; WindingError at the first |v| at or below the floor.
-    A message names the angle of the point's unit point in [0, 2 pi)."""
-    pairs = [ref_eval_bound(f, radius * u, ls) for u in units_of(thetas)]
+def ref_circle_values(f, radius, thetas, floor, log_weights, rho):
+    """(values, ok) by ref_eval_bound, ok true where the bound for
+    log_weights(rho) is below |v|; or (error, message) as the sweep raises
+    it: EvalOverflowError at the first infinite |v|, else at the first NaN
+    one, else for an infinite floor; WindingError at the first |v| at or
+    below its own bound for log_weights(0).  A message names the angle of
+    the point's unit point in [0, 2 pi)."""
+    units = units_of(thetas)
+    pairs = [ref_eval_bound(f, radius * u, log_weights(rho)) for u in units]
     sizes = [abs(v) for v, _ in pairs]
-    thetas = [cmath.phase(u) % (2.0 * math.pi) for u in units_of(thetas)]
+    thetas = [cmath.phase(u) % (2.0 * math.pi) for u in units]
     for t, a in zip(thetas, sizes):
         if a == math.inf:
             return EvalOverflowError, (
@@ -156,18 +158,17 @@ def ref_circle_values(f, radius, thetas, floor, ls):
     if floor == math.inf:
         return EvalOverflowError, (f"the bound of h's rounding leaves the "
                                    f"floating range on r={radius}")
-    for t, a in zip(thetas, sizes):
-        if a <= floor:
+    for t, a, u in zip(thetas, sizes, units):
+        if a <= ref_eval_bound(f, radius * u, log_weights(0.0))[1]:
             return WindingError, (f"near-zero on circle r={radius} "
                                   f"at theta={t}")
     return [v for v, _ in pairs], [b < a for (_, b), a in zip(pairs, sizes)]
 
 
 def certificate(f, radius):
-    """f's floor on |z| = radius and its log weights for the discs of the
-    first arcs of a sweep."""
-    floor, log_weights = _certificate(f, radius)
-    return floor, log_weights(radius * 2.0 * math.pi / 64)
+    """f's floor and log weights on |z| = radius, and the disc radius of
+    the first arcs of a sweep."""
+    return (*_certificate(f, radius), radius * 2.0 * math.pi / 64)
 
 
 ONE = ExpPoly.constant(1)
@@ -214,11 +215,11 @@ CONST_EXPONENTS = POLY_PART + TAGGED
 DEEP_CONST = ONE + ExpPoly([(poly(2, 1), Poly(), cr(-800))])
 
 # a polynomial scaled into the subnormal range: |v| at |z| = 1 lies between
-# 1e-12 * 1e-300 and 1e-300, so the sweep's near-zero floor decides
+# 1e-12 * 1e-300 and 1e-300, below the bound of its loss to underflow
 TINY = Fraction(1, 10 ** 310)
 SUBNORMAL = ExpPoly.from_poly(poly(3 * TINY, cr(0, TINY), TINY))
 # one term whose constant exponent is not real, and a polynomial
-# coefficient in a sum: the sweep builds their references
+# coefficient in a sum
 IMAG_EXPONENT = ExpPoly([(poly(cr(-HALF), 1), Poly(), cr(0, 1))])
 Z_EXP_MINUS_ONE = ExpPoly([(poly(0, 1), XI)]) - ONE
 
@@ -398,6 +399,10 @@ SWEEPS = {
     "exp_off_zero": (E_XI - ONE, 2.0 * math.pi,
                      [QUARTER - 1e-3, QUARTER + 1e-3], "values"),
     "exp_z2": (E_XI2 - ONE, 4.0, GRID, "values"),
+    # the rounding bound of the 10^12 term is about 1 where e^z sets the
+    # scale, but it enters each point's bound scaled by e^{-Re z}
+    "small_term_big_coefficient": (E_XI - ONE.scale(10 ** 12), 40.0, GRID,
+                                   "values"),
     "const_sum": (E_XI2 + E_XI.scale(3) - ONE.scale(cr(HALF, 2)), 6.0, GRID,
                   "values"),
     # a value whose rounding loses to underflow is not told from a zero;
@@ -442,7 +447,7 @@ _radius = st.sampled_from([1e-3, 0.3, 1.0, 1.8, 2 * math.pi, 40.0, 1e3])
 @st.composite
 def scaled_polynomials(draw):
     """A Gaussian-rational polynomial of degree <= 4 times 10^k."""
-    # the ends of the range and the near-zero floor 1e-12 * 1e-300 are
+    # the ends of the range and the values near 1e-12 * 1e-300 are
     # drawn more often than the rest
     k = draw(st.one_of(st.sampled_from([-320, -313, -312, -311, -300, 300]),
                        st.integers(-320, 300)))

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from curvecomp import nevanlinna
-from curvecomp.expfun import EvalOverflowError, ExpPoly
+from curvecomp.expfun import EvalOverflowError, ExpPoly, eval_columns
 from curvecomp.nevanlinna import (DegenerateCurveError, GeneralPositionError,
                                   HomDivisor, ProjCurve, QuadratureError,
                                   WindingError,
@@ -218,6 +218,58 @@ class TestWinding:
         a = cr(-1, Fraction(5, 4))
         with pytest.raises(WindingError, match="arcs not certified on r=1.8"):
             winding_number(planted(a, a, a, a, a), 1.8)
+
+    def test_high_degree_factor_is_refused(self):
+        # (z + 1)^20 on |z| = 1/2, its root as far off the circle as the
+        # circle's radius: the bound of |h'| on the whole disc |w| <= 1/2 +
+        # l is about 20 * 1.5^19, where |h| is 0.5^20 near -1/2, so the
+        # count of 0 is refused rather than proved
+        with pytest.raises(WindingError, match="arcs not certified on r=0.5"):
+            winding_number(ExpPoly.from_poly(poly(1, 1) ** 20), 0.5)
+
+    def test_small_term_with_a_large_coefficient_counts(self):
+        # e^z - 10^12 on |z| = 40: at theta = 0, v = 1 - 10^12 e^-40 is
+        # about 1, far above its own rounding bound, though the rounding
+        # bound G of the 10^12 term, before its factor e^-40, is about 1
+        h = E_XI - ONE.scale(10 ** 12)
+        assert winding_number(h, 40.0) == 9
+
+    def test_certificate_of_exp_minus_one(self):
+        # e^z - 1, its terms 1 and e^z: |q| = 1 for both; M = L = 0 for the
+        # constant, M = |q'| + |q| |P'| = 1 and L = |P'| = 1 for e^z.  With
+        # gamma = gamma_56 (degree 1, two terms) each term's rounding bound
+        # is G = 4 gamma (r + 1) to first order, and the floor 3 * 2 G
+        r, rho = 2.0, 0.1
+        gamma = 56 * 2.0 ** -53 / (1 - 56 * 2.0 ** -53)
+        g = 4 * gamma * (r + 1)
+        floor, log_weights = nevanlinna._certificate(E_XI - ONE, r)
+        assert floor == pytest.approx(6 * g, rel=1e-9)
+        for x, want in ((0.0, 0.0), (rho, rho * math.exp(rho))):
+            assert [math.exp(w) for w in log_weights(x)] == pytest.approx(
+                [3 * g, want + 3 * g], rel=1e-9)
+
+    @pytest.mark.parametrize("h, r", [
+        (ExpPoly.from_poly(poly(1, 1) ** 20), 0.5),
+        (exp_of(XI2), 1.5),
+        (exp_of(poly(0, cr(1, 1))) * ExpPoly.from_poly(poly(cr(0, 2), 0, 1))
+         - exp_of(poly(0, -1)).scale(3), 2.0)])
+    def test_certificate_bounds_the_derivative(self, h, r):
+        # the bound column at an anchor z is at least rho |h'| e^{-s} at
+        # every sampled point of the circle |w - z| = rho (where |h'| takes
+        # its maximum on the disc); (z + 1)^20 takes it at z + rho for z = r
+        dh = h.differentiate()
+        expos, terms = h.compiled()
+        _, log_weights = nevanlinna._certificate(h, r)
+        for rho in (0.01, 0.3):
+            for theta in (0.0, 1.0, 2.5):
+                z = r * complex(math.cos(theta), math.sin(theta))
+                (_, s, b), = eval_columns(expos, (terms,), [z],
+                                          (log_weights(rho),))
+                for k in range(360):
+                    w = z + rho * complex(math.cos(k * math.pi / 180),
+                                          math.sin(k * math.pi / 180))
+                    v, t = dh.eval_scaled(w)
+                    assert math.log(rho * abs(v)) + t <= math.log(b[0]) + s[0]
 
     def test_nan_step_fails_at_once(self, monkeypatch):
         # z^200 - 1 is NaN on |z| = 1000: one sweep, with no bisection of a
